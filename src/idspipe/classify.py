@@ -11,11 +11,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .data import DISCRETE, Dataset, Record
+from .data import Coding, Dataset, Record, check_discrete, vocab_lookup
 from .errors import SchemaError
 
 DEFAULT_SMOOTHING = 1.0
@@ -25,19 +26,6 @@ DEFAULT_ROUNDS = 10
 # first round that is no better than chance; both keep vote weights finite.
 ERROR_FLOOR = 1e-10
 MIN_VOTE_WEIGHT = 1e-10
-
-
-def _check_discrete(ds: Dataset) -> None:
-    bad = [i for i in range(1, len(ds.schema) + 1) if ds.schema.kind(i) != DISCRETE]
-    if bad:
-        raise SchemaError(
-            f"classifier requires a fully discrete dataset; continuous features: {bad}"
-        )
-
-
-def _normalize_value(v):
-    """Python scalar for a feature value (object or numpy int)."""
-    return v.item() if isinstance(v, np.generic) else v
 
 
 @dataclass(eq=False)
@@ -51,28 +39,14 @@ class NaiveBayesModel:
     cond: tuple[np.ndarray, ...]  # per feature: (n_values + 1, n_classes)
     _log_priors: np.ndarray = field(init=False, repr=False)
     _log_cond: tuple[np.ndarray, ...] = field(init=False, repr=False)
-    _value_index: tuple[dict, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         self._log_priors = np.log(self.priors)
         self._log_cond = tuple(np.log(c) for c in self.cond)
-        self._value_index = tuple(
-            {v: i for i, v in enumerate(values)} for values in self.feature_values
-        )
 
     @property
     def n_features(self) -> int:
         return len(self.feature_values)
-
-    def _feature_rows(self, f: int, column: np.ndarray) -> np.ndarray:
-        """Row indices into feature f's table; unseen values hit the last row."""
-        index = self._value_index[f]
-        unseen = len(self.feature_values[f])
-        uniq, inv = np.unique(column, return_inverse=True)
-        rows = np.asarray(
-            [index.get(_normalize_value(v), unseen) for v in uniq], dtype=np.int64
-        )
-        return rows[inv]
 
     def log_posteriors(self, ds: Dataset) -> np.ndarray:
         """Unnormalized log posterior matrix (records x classes)."""
@@ -80,10 +54,14 @@ class NaiveBayesModel:
             raise SchemaError(
                 f"model has {self.n_features} features, dataset has {len(ds.schema)}"
             )
+        coding = ds.coding()
         scores = np.tile(self._log_priors, (len(ds), 1))
-        for f in range(self.n_features):
-            rows = self._feature_rows(f, ds.column(f + 1))
-            scores += self._log_cond[f][rows]
+        for f, (codes, vocab) in enumerate(zip(coding.columns, coding.vocabs)):
+            # table row of every vocabulary code; values the model never saw
+            # take the reserved last row
+            rows = vocab_lookup(vocab, self.feature_values[f])
+            rows[rows < 0] = len(self.feature_values[f])
+            scores += self._log_cond[f][rows][codes]
         return scores
 
     def to_payload(self) -> dict:
@@ -94,7 +72,7 @@ class NaiveBayesModel:
             "priors": [float(p) for p in self.priors],
             "features": [
                 {
-                    "values": [_normalize_value(v) for v in values],
+                    "values": list(values),
                     "cond": [[float(p) for p in row] for row in table],
                 }
                 for values, table in zip(self.feature_values, self.cond)
@@ -125,38 +103,53 @@ def train_naive_bayes(
     labels observed in ``ds``); classes without training mass keep smoothed
     statistics only.
     """
-    _check_discrete(ds)
+    check_discrete(ds, "classifier")
     if smoothing <= 0:
         raise ValueError("smoothing constant must be positive")
     w = np.asarray(ds.weights, dtype=float)
     if len(ds) == 0 or w.sum() <= 0:
         raise ValueError("cannot train on zero total weight")
+    labels = tuple(label_set) if label_set is not None else ds.label_set()
+    return _fit_naive_bayes(ds.coding(), _class_codes(ds, labels), w, labels, smoothing)
+
+
+def _class_codes(ds: Dataset, labels: tuple[str, ...]) -> np.ndarray:
+    """Position of every record's label in the declared class order."""
+    coding = ds.coding()
+    y = vocab_lookup(coding.label_vocab, labels)[coding.labels]
+    if (y < 0).any():
+        missing = ds.labels[int(np.argmax(y < 0))]
+        raise ValueError(f"label {missing!r} not in the declared label set")
+    return y
+
+
+def _fit_naive_bayes(
+    coding: Coding,
+    y: np.ndarray,
+    w: np.ndarray,
+    labels: tuple[str, ...],
+    smoothing: float,
+) -> NaiveBayesModel:
+    """Smoothed tables over the vocabulary values that occur in ``coding``."""
     # normalize to mean weight 1 so smoothing strength is scale-invariant
     w = w * (len(w) / w.sum())
     total = w.sum()
-    labels = tuple(label_set) if label_set is not None else ds.label_set()
-    label_index = {lbl: i for i, lbl in enumerate(labels)}
-    try:
-        y = np.asarray([label_index[lbl] for lbl in ds.labels], dtype=np.int64)
-    except KeyError as missing:
-        raise ValueError(f"label {missing} not in the declared label set") from None
     n_classes = len(labels)
     class_mass = np.bincount(y, weights=w, minlength=n_classes)
     priors = (class_mass + smoothing) / (total + smoothing * n_classes)
 
     feature_values = []
     cond = []
-    for idx in range(1, len(ds.schema) + 1):
-        uniq, inv = np.unique(ds.column(idx), return_inverse=True)
-        n_values = len(uniq)
+    for codes, vocab in zip(coding.columns, coding.vocabs):
         counts = np.bincount(
-            inv.astype(np.int64) * n_classes + y,
-            weights=w,
-            minlength=n_values * n_classes,
-        ).reshape(n_values, n_classes)
-        counts = np.vstack([counts, np.zeros((1, n_classes))])  # unseen slot
+            codes * n_classes + y, weights=w, minlength=len(vocab) * n_classes
+        ).reshape(len(vocab), n_classes)
+        # a coding of a larger dataset may hold values absent from this one
+        present = np.bincount(codes, minlength=len(vocab)) > 0
+        n_values = int(present.sum())
+        counts = np.vstack([counts[present], np.zeros((1, n_classes))])  # unseen slot
         table = (counts + smoothing) / (class_mass + smoothing * (n_values + 1))
-        feature_values.append(tuple(_normalize_value(v) for v in uniq))
+        feature_values.append(tuple(compress(vocab, present)))
         cond.append(table)
     return NaiveBayesModel(
         labels=labels,
@@ -168,7 +161,7 @@ def train_naive_bayes(
 
 
 def _record_dataset(r: Record, n_features: int) -> Dataset:
-    from .data import ATTACK23, FeatureSchema
+    from .data import ATTACK23, DISCRETE, FeatureSchema
 
     schema = FeatureSchema(tuple((f"f{i}", DISCRETE) for i in range(1, n_features + 1)))
     columns = tuple(np.asarray([v], dtype=object) for v in r.values)
@@ -273,20 +266,20 @@ def boost_rounds(
     misclassified records are upweighted by (1-e)/e and the distribution is
     renormalized.
     """
-    _check_discrete(ds)
+    check_discrete(ds, "classifier")
     if rounds < 1:
         raise ValueError("boosting needs at least one round")
+    if smoothing <= 0:
+        raise ValueError("smoothing constant must be positive")
     n = len(ds)
     if n == 0:
         raise ValueError("cannot boost an empty dataset")
     labels = tuple(label_set) if label_set is not None else ds.label_set()
-    label_index = {lbl: i for i, lbl in enumerate(labels)}
-    y = np.asarray([label_index[lbl] for lbl in ds.labels], dtype=np.int64)
+    coding = ds.coding()
+    y = _class_codes(ds, labels)
     weights = np.full(n, 1.0 / n)
     for t in range(rounds):
-        model = train_naive_bayes(
-            ds.with_weights(weights), smoothing=smoothing, label_set=labels
-        )
+        model = _fit_naive_bayes(coding, y, weights, labels, smoothing)
         predicted = nb_predict_batch(model, ds)
         mis = predicted != y
         error = float(weights[mis].sum())

@@ -8,7 +8,7 @@ connection-record layout.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
@@ -185,6 +185,61 @@ class FeatureSchema:
 NSLKDD_SCHEMA = FeatureSchema(_NSLKDD_FEATURES)
 
 
+def check_discrete(ds: "Dataset", noun: str) -> None:
+    """Raise SchemaError naming the continuous features; ``noun`` names the caller."""
+    bad = [i for i in range(1, len(ds.schema) + 1) if ds.schema.kind(i) != DISCRETE]
+    if bad:
+        raise SchemaError(
+            f"{noun} requires a fully discrete dataset; continuous features: {bad}"
+        )
+
+
+def encode(values) -> tuple[np.ndarray, tuple]:
+    """Integer codes of discrete values and their sorted vocabulary.
+
+    ``vocab[codes[i]] == values[i]``; vocabulary entries are Python scalars.
+    Selection, classification and evaluation take all their codes from here.
+    """
+    vocab, codes = np.unique(np.asarray(values), return_inverse=True)
+    return codes.astype(np.int64), tuple(
+        v.item() if isinstance(v, np.generic) else v for v in vocab.tolist()
+    )
+
+
+def vocab_lookup(vocab, target) -> np.ndarray:
+    """Position in ``target`` of every vocabulary value; -1 where it is absent."""
+    index = {v: i for i, v in enumerate(target)}
+    return np.asarray([index.get(v, -1) for v in vocab], dtype=np.int64)
+
+
+@dataclass(frozen=True, eq=False)
+class Coding:
+    """Integer codes of every column and of the labels, over sorted vocabularies.
+
+    ``columns[f]`` indexes ``vocabs[f]`` (feature f+1) and ``labels`` indexes
+    ``label_vocab``. Codings of record subsets keep the full vocabularies, so
+    a vocabulary value need not occur in every subset.
+    """
+
+    columns: tuple[np.ndarray, ...]
+    vocabs: tuple[tuple, ...]
+    labels: np.ndarray
+    label_vocab: tuple[str, ...]
+
+    def subset(self, idx: np.ndarray) -> "Coding":
+        return Coding(
+            tuple(c[idx] for c in self.columns), self.vocabs, self.labels[idx], self.label_vocab
+        )
+
+    def project(self, kept: list[int]) -> "Coding":
+        return Coding(
+            tuple(self.columns[i - 1] for i in kept),
+            tuple(self.vocabs[i - 1] for i in kept),
+            self.labels,
+            self.label_vocab,
+        )
+
+
 @dataclass(frozen=True)
 class Record:
     """One connection record: 41 feature values, class label, instance weight."""
@@ -207,6 +262,7 @@ class Dataset:
     labels: np.ndarray
     weights: np.ndarray
     granularity: str = ATTACK23
+    _coding: Coding | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.granularity not in GRANULARITIES:
@@ -267,6 +323,25 @@ class Dataset:
         for i in range(len(self)):
             yield self.record(i)
 
+    def coding(self) -> Coding:
+        """Integer coding of all columns and the labels, computed once.
+
+        Subsets, projections and reweightings of a coded dataset slice its
+        codes instead of encoding their columns again.
+        """
+        if self._coding is None:
+            columns = [encode(col) for col in self.columns]
+            labels, label_vocab = encode(self.labels)
+            self._coding = Coding(
+                tuple(c for c, _ in columns), tuple(v for _, v in columns), labels, label_vocab
+            )
+        return self._coding
+
+    def _derive(self, coding: Coding | None, **changes) -> "Dataset":
+        derived = replace(self, **changes)
+        derived._coding = coding
+        return derived
+
     def label_set(self) -> tuple[str, ...]:
         return tuple(sorted(set(self.labels.tolist())))
 
@@ -276,12 +351,11 @@ class Dataset:
 
     def subset(self, row_indices) -> "Dataset":
         idx = np.asarray(row_indices, dtype=np.int64)
-        return Dataset(
-            schema=self.schema,
+        return self._derive(
+            None if self._coding is None else self._coding.subset(idx),
             columns=tuple(col[idx] for col in self.columns),
             labels=self.labels[idx],
             weights=self.weights[idx],
-            granularity=self.granularity,
         )
 
     def project(self, feature_indices: Iterable[int]) -> "Dataset":
@@ -290,17 +364,14 @@ class Dataset:
         for i in kept:
             if not 1 <= i <= len(self.schema):
                 raise SchemaError(f"feature index {i} outside schema")
-        return Dataset(
+        return self._derive(
+            None if self._coding is None else self._coding.project(kept),
             schema=FeatureSchema(tuple(self.schema.features[i - 1] for i in kept)),
             columns=tuple(self.columns[i - 1] for i in kept),
-            labels=self.labels,
-            weights=self.weights,
-            granularity=self.granularity,
         )
 
     def with_weights(self, weights) -> "Dataset":
-        w = np.asarray(weights, dtype=float)
-        return Dataset(self.schema, self.columns, self.labels, w, self.granularity)
+        return self._derive(self._coding, weights=np.asarray(weights, dtype=float))
 
     @classmethod
     def from_records(
@@ -500,8 +571,7 @@ def stratified_folds(ds: Dataset, k: int, seed: int) -> FoldPlan:
     for label in sorted(set(ds.labels.tolist())):
         idx = np.flatnonzero(ds.labels == label)
         idx = idx[rng.permutation(len(idx))]
-        for j, record_idx in enumerate(idx):
-            assignments[record_idx] = (offset + j) % k
+        assignments[idx] = (offset + np.arange(len(idx))) % k
         offset += len(idx)
     return FoldPlan(k=k, assignments=assignments)
 

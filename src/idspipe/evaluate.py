@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from . import classify, discretize, select
-from .data import Dataset, FoldPlan, stratified_folds
+from .data import Dataset, FoldPlan, encode, stratified_folds, vocab_lookup
 from .errors import UnknownLabelError
 
 
@@ -54,22 +54,33 @@ class ConfusionMatrix:
             counts=np.asarray(payload["counts"], dtype=np.int64),
         )
 
+    @classmethod
+    def from_codes(cls, truths, preds, labels: tuple[str, ...]) -> "ConfusionMatrix":
+        """Count (truth, prediction) pairs given as positions in ``labels``."""
+        c = len(labels)
+        counts = np.bincount(truths * c + preds, minlength=c * c).reshape(c, c)
+        return cls(labels=labels, counts=counts)
+
+
+def _label_codes(values, labels: tuple[str, ...]) -> np.ndarray:
+    codes, vocab = encode(values)
+    lookup = vocab_lookup(vocab, labels)
+    if (lookup < 0).any():
+        missing = vocab[int(np.argmax(lookup < 0))]
+        raise UnknownLabelError(f"label {missing!r} not in label set")
+    return lookup[codes]
+
 
 def confusion(truths, preds, label_set: Sequence[str]) -> ConfusionMatrix:
     """Count (truth, prediction) pairs over a fixed label order."""
     labels = tuple(label_set)
-    index = {lbl: i for i, lbl in enumerate(labels)}
     truths = list(truths)
     preds = list(preds)
     if len(truths) != len(preds):
         raise ValueError("truths and predictions differ in length")
-    counts = np.zeros((len(labels), len(labels)), dtype=np.int64)
-    for t, p in zip(truths, preds):
-        try:
-            counts[index[t], index[p]] += 1
-        except KeyError as missing:
-            raise UnknownLabelError(f"label {missing} not in label set") from None
-    return ConfusionMatrix(labels=labels, counts=counts)
+    return ConfusionMatrix.from_codes(
+        _label_codes(truths, labels), _label_codes(preds, labels), labels
+    )
 
 
 @dataclass(frozen=True)
@@ -164,6 +175,16 @@ class EvaluationReport:
         return json.dumps(self.to_payload(), sort_keys=True, indent=2) + "\n"
 
     @classmethod
+    def from_matrix(cls, matrix: ConfusionMatrix, descriptor: dict) -> "EvaluationReport":
+        per_class = per_class_metrics(matrix)
+        return cls(
+            matrix=matrix,
+            per_class=per_class,
+            weighted=aggregate(per_class),
+            descriptor=descriptor,
+        )
+
+    @classmethod
     def from_payload(cls, payload: Mapping) -> "EvaluationReport":
         per_class = {
             lbl: ClassMetrics(**vals) for lbl, vals in payload["per_class"].items()
@@ -214,14 +235,23 @@ class EvaluationReport:
 def build_report(
     truths, preds, label_set: Sequence[str], descriptor: dict
 ) -> EvaluationReport:
-    matrix = confusion(truths, preds, label_set)
-    per_class = per_class_metrics(matrix)
-    return EvaluationReport(
-        matrix=matrix,
-        per_class=per_class,
-        weighted=aggregate(per_class),
-        descriptor=descriptor,
-    )
+    return EvaluationReport.from_matrix(confusion(truths, preds, label_set), descriptor)
+
+
+class Preprocessing(NamedTuple):
+    """Discretizer and selection fitted on one dataset, and its reduced form."""
+
+    discretizer: discretize.DiscretizationModel
+    selection: select.SelectionResult
+    reduced: Dataset  # discretized, projected onto the selected features
+
+
+def fit_preprocessing(ds: Dataset, config) -> Preprocessing:
+    """Fit the configured discretizer, then the selection, on ``ds``."""
+    dmodel = discretize.fit_discretizer(ds, candidates=config.candidates)
+    dds = discretize.apply_discretizer(dmodel, ds)
+    selection = select.run_selection(dds, config.selection.method, config.selection.alpha)
+    return Preprocessing(dmodel, selection, dds.project(selection.subset.indices))
 
 
 def _fit_predict(
@@ -232,17 +262,14 @@ def _fit_predict(
     rounds: int,
     smoothing: float,
 ) -> np.ndarray:
+    """Class index (into ``label_set``) predicted for every test record."""
     if boost:
         model = classify.train_adaboost_m1(
             train, rounds=rounds, smoothing=smoothing, label_set=label_set
         )
-        codes = classify.ensemble_predict_batch(model, test)
-    else:
-        model = classify.train_naive_bayes(
-            train, smoothing=smoothing, label_set=label_set
-        )
-        codes = classify.nb_predict_batch(model, test)
-    return np.asarray([label_set[c] for c in codes], dtype=object)
+        return classify.ensemble_predict_batch(model, test)
+    model = classify.train_naive_bayes(train, smoothing=smoothing, label_set=label_set)
+    return classify.nb_predict_batch(model, test)
 
 
 def cross_validate(ds: Dataset, config, k: int, seed: int) -> EvaluationReport:
@@ -259,20 +286,26 @@ def cross_validate(ds: Dataset, config, k: int, seed: int) -> EvaluationReport:
 
 
 def cross_validate_plan(
-    ds: Dataset, config, plan: FoldPlan, seed: int | None = None
+    ds: Dataset,
+    config,
+    plan: FoldPlan,
+    seed: int | None = None,
+    fitted: Preprocessing | None = None,
 ) -> EvaluationReport:
-    """Cross-validate against an explicit fold plan (pooled predictions)."""
+    """Cross-validate against an explicit fold plan (pooled predictions).
+
+    In leaky mode ``fitted`` is the preprocessing already fitted on ``ds``
+    by :func:`fit_preprocessing`; it is fitted here when not given.
+    """
     label_set = ds.label_set()
-    preds = np.empty(len(ds), dtype=object)
+    preds = np.empty(len(ds), dtype=np.int64)
     fold_selections: list[list[int]] = []
 
     if config.discretization == "leaky":
-        dmodel = discretize.fit_discretizer(ds, candidates=config.candidates)
-        dds = discretize.apply_discretizer(dmodel, ds)
-        selection = select.run_selection(
-            dds, config.selection.method, config.selection.alpha
-        )
-        reduced = dds.project(selection.subset.indices)
+        if fitted is None:
+            fitted = fit_preprocessing(ds, config)
+        _, selection, reduced = fitted
+        reduced.coding()  # coded once; the folds slice these codes
         for fold in range(plan.k):
             train_idx = plan.train_indices(fold)
             test_idx = plan.test_indices(fold)
@@ -331,4 +364,5 @@ def cross_validate_plan(
         },
         "cv": {"k": plan.k, "seed": seed},
     }
-    return build_report(ds.labels, preds, label_set, descriptor)
+    matrix = ConfusionMatrix.from_codes(_label_codes(ds.labels, label_set), preds, label_set)
+    return EvaluationReport.from_matrix(matrix, descriptor)

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import classify, discretize, select
+from . import classify
 from .config import PipelineConfig
 from .data import (
     ATTACK23,
@@ -25,7 +25,7 @@ from .data import (
     stratified_folds,
 )
 from .errors import DataError, StageError
-from .evaluate import EvaluationReport, cross_validate_plan
+from .evaluate import EvaluationReport, cross_validate_plan, fit_preprocessing
 
 
 @dataclass
@@ -90,19 +90,23 @@ def _map(config: PipelineConfig, ds: Dataset) -> Dataset:
 
 
 @_stage("evaluate")
-def _evaluate(config: PipelineConfig, ds: Dataset, plan) -> EvaluationReport:
-    return cross_validate_plan(ds, config.experiment, plan, seed=config.cv.seed)
+def _evaluate(config: PipelineConfig, ds: Dataset, plan):
+    """The CV report, and the full-data preprocessing when leaky CV fitted one."""
+    exp = config.experiment
+    fitted = fit_preprocessing(ds, exp) if exp.discretization == "leaky" else None
+    report = cross_validate_plan(ds, exp, plan, seed=config.cv.seed, fitted=fitted)
+    return report, fitted
 
 
 @_stage("train")
-def _deployment_artifacts(config: PipelineConfig, ds: Dataset):
-    """Fit the full-data discretizer, selection, and model for deployment."""
-    dmodel = discretize.fit_discretizer(ds, candidates=config.experiment.candidates)
-    dds = discretize.apply_discretizer(dmodel, ds)
-    selection = select.run_selection(
-        dds, config.experiment.selection.method, config.experiment.selection.alpha
-    )
-    reduced = dds.project(selection.subset.indices)
+def _deployment_artifacts(config: PipelineConfig, ds: Dataset, fitted):
+    """Fit the full-data discretizer, selection, and model for deployment.
+
+    ``fitted`` is the preprocessing leaky CV already fitted on ``ds``, if any.
+    """
+    if fitted is None:
+        fitted = fit_preprocessing(ds, config.experiment)
+    dmodel, selection, reduced = fitted
     if config.experiment.classifier.boost:
         model = classify.train_adaboost_m1(
             reduced,
@@ -152,12 +156,12 @@ def run_experiment(config: PipelineConfig) -> RunResult:
     except ValueError as exc:
         raise StageError("fold", str(exc), exit_code=2) from exc
 
-    report = _evaluate(config, ds, plan)
+    report, fitted = _evaluate(config, ds, plan)
     descriptor_config = config.to_payload()
     descriptor_config.pop("output_dir")  # not part of the experiment identity
     report.descriptor["config"] = descriptor_config
 
-    dmodel, selection, model_payload = _deployment_artifacts(config, ds)
+    dmodel, selection, model_payload = _deployment_artifacts(config, ds, fitted)
 
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -22,9 +22,8 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .data import DISCRETE, Dataset
+from .data import Coding, Dataset, check_discrete, encode
 from .discretize import entropy
-from .errors import SchemaError
 
 SELECTION_METHODS = (
     "cfs-greedy",
@@ -36,19 +35,6 @@ SELECTION_METHODS = (
 )
 
 BEST_FIRST_STALE_LIMIT = 5
-
-
-def _check_discrete(ds: Dataset) -> None:
-    bad = [i for i in range(1, len(ds.schema) + 1) if ds.schema.kind(i) != DISCRETE]
-    if bad:
-        raise SchemaError(
-            f"selection requires a fully discrete dataset; continuous features: {bad}"
-        )
-
-
-def _codes(column) -> tuple[np.ndarray, int]:
-    uniq, inv = np.unique(np.asarray(column), return_inverse=True)
-    return inv.astype(np.int64), len(uniq)
 
 
 @dataclass(eq=False)
@@ -67,12 +53,17 @@ class ContingencyTable:
 
     @classmethod
     def from_columns(cls, x, y) -> "ContingencyTable":
-        xc, nx = _codes(x)
-        yc, ny = _codes(y)
+        xc, xv = encode(x)
+        yc, yv = encode(y)
         if len(xc) != len(yc):
             raise ValueError("columns must have the same length")
         if len(xc) == 0:
             raise ValueError("columns are empty")
+        return cls.from_codes(xc, len(xv), yc, len(yv))
+
+    @classmethod
+    def from_codes(cls, xc, nx: int, yc, ny: int) -> "ContingencyTable":
+        """Table of two code arrays over vocabularies of sizes ``nx`` and ``ny``."""
         joint = np.bincount(xc * ny + yc, minlength=nx * ny).astype(float)
         return cls(counts=joint.reshape(nx, ny))
 
@@ -100,19 +91,25 @@ def _conditional_entropy(table: ContingencyTable) -> float:
     return h
 
 
+def _ig_from_table(table: ContingencyTable) -> float:
+    return entropy(table.col_totals) - _conditional_entropy(table)
+
+
+def _gain_ratio_from_table(table: ContingencyTable) -> float:
+    hx = entropy(table.row_totals)
+    if hx == 0.0:
+        return 0.0
+    return _ig_from_table(table) / hx
+
+
 def info_gain(x, y) -> float:
     """Mutual information IG(X;Y) = H(Y) - H(Y|X), in bits."""
-    table = ContingencyTable.from_columns(x, y)
-    return entropy(table.col_totals) - _conditional_entropy(table)
+    return _ig_from_table(ContingencyTable.from_columns(x, y))
 
 
 def gain_ratio(x, y) -> float:
     """IG(X;Y) / H(X); zero for a constant feature."""
-    table = ContingencyTable.from_columns(x, y)
-    hx = entropy(table.row_totals)
-    if hx == 0.0:
-        return 0.0
-    return (entropy(table.col_totals) - _conditional_entropy(table)) / hx
+    return _gain_ratio_from_table(ContingencyTable.from_columns(x, y))
 
 
 def _su_from_table(table: ContingencyTable) -> float:
@@ -144,17 +141,14 @@ class CorrelationCache:
     """
 
     def __init__(self, ds: Dataset):
-        _check_discrete(ds)
+        check_discrete(ds, "selection")
         if len(ds) == 0:
             raise ValueError("cannot correlate an empty dataset")
         self.n_features = len(ds.schema)
-        self._codes = []
-        self._cards = []
-        for i in range(1, self.n_features + 1):
-            codes, card = _codes(ds.column(i))
-            self._codes.append(codes)
-            self._cards.append(card)
-        self._ycodes, self._ycard = _codes(ds.labels)
+        coding = ds.coding()
+        self._codes = coding.columns
+        self._cards = [len(v) for v in coding.vocabs]
+        self._ycodes, self._ycard = coding.labels, len(coding.label_vocab)
         self._entropies: dict[int, float] = {}
         self._cf: dict[int, float] = {}
         self._ff: dict[tuple[int, int], float] = {}
@@ -168,8 +162,7 @@ class CorrelationCache:
     def _su_from_codes(self, xc, nx, yc, ny, hx, hy) -> float:
         if hx == 0.0 or hy == 0.0:
             return 0.0
-        joint = np.bincount(xc * ny + yc, minlength=nx * ny).astype(float)
-        return _su_from_table(ContingencyTable(joint.reshape(nx, ny)))
+        return _su_from_table(ContingencyTable.from_codes(xc, nx, yc, ny))
 
     def feature_class(self, i: int) -> float:
         if i not in self._cf:
@@ -275,7 +268,7 @@ def _greedy_path(cache: CorrelationCache) -> list[tuple[int, float]]:
 
 def greedy_forward_search(ds: Dataset, cache: CorrelationCache | None = None) -> FeatureSubset:
     """Grow a subset one feature at a time while CFS merit strictly improves."""
-    _check_discrete(ds)
+    check_discrete(ds, "selection")
     cache = cache or CorrelationCache(ds)
     path = _greedy_path(cache)
     indices = tuple(sorted(i for i, _ in path))
@@ -294,7 +287,7 @@ def best_first_search(
     time, and stops after ``stale_limit`` consecutive non-improving
     expansions (or when the open list is exhausted).
     """
-    _check_discrete(ds)
+    check_discrete(ds, "selection")
     cache = cache or CorrelationCache(ds)
     start: tuple[int, ...] = ()
     heap: list[tuple[float, tuple[int, ...]]] = [(0.0, start)]
@@ -323,7 +316,15 @@ def best_first_search(
     return FeatureSubset(indices=best_subset, merit=best_merit)
 
 
-_SCORERS = {"ig": info_gain, "gainratio": gain_ratio, "su": symmetrical_uncertainty}
+def _class_table(coding: Coding, i: int) -> ContingencyTable:
+    """(value, class) counts of feature i from a dataset's coding."""
+    return ContingencyTable.from_codes(
+        coding.columns[i - 1], len(coding.vocabs[i - 1]), coding.labels, len(coding.label_vocab)
+    )
+
+
+# Scores of one (feature value, class) table, by scorer name.
+_SCORERS = {"ig": _ig_from_table, "gainratio": _gain_ratio_from_table, "su": _su_from_table}
 
 
 def rank_threshold(
@@ -339,7 +340,7 @@ def rank_threshold(
     Returns retained features in descending raw-score order. An all-zero
     score vector yields an empty ranking.
     """
-    _check_discrete(ds)
+    check_discrete(ds, "selection")
     if scorer not in _SCORERS:
         raise ValueError(f"unknown scorer {scorer!r}; expected one of {list(_SCORERS)}")
     if not 0.0 <= alpha <= 1.0:
@@ -350,7 +351,8 @@ def rank_threshold(
         if include is not None
         else list(range(1, len(ds.schema) + 1))
     )
-    scored = [(i, float(score_fn(ds.column(i), ds.labels))) for i in considered]
+    coding = ds.coding()
+    scored = [(i, float(score_fn(_class_table(coding, i)))) for i in considered]
     max_score = max((s for _, s in scored), default=0.0)
     if max_score <= 0.0:
         return RankedFeatures(entries=())
@@ -369,7 +371,7 @@ def hybrid_select(
 def _hybrid_parts(
     ds: Dataset, alpha: float, cache: CorrelationCache | None = None
 ) -> tuple[FeatureSubset, RankedFeatures, FeatureSubset]:
-    _check_discrete(ds)
+    check_discrete(ds, "selection")
     cache = cache or CorrelationCache(ds)
     cfs = greedy_forward_search(ds, cache)
     rest = [i for i in range(1, len(ds.schema) + 1) if i not in cfs.indices]

@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from idspipe.classify import (
+    ERROR_FLOOR,
+    MIN_VOTE_WEIGHT,
     EnsembleModel,
     NaiveBayesModel,
     boost_rounds,
@@ -14,7 +18,7 @@ from idspipe.classify import (
     train_adaboost_m1,
     train_naive_bayes,
 )
-from idspipe.data import Record
+from idspipe.data import DISCRETE, Dataset, FeatureSchema, Record
 
 from conftest import toy_dataset
 
@@ -108,6 +112,23 @@ class TestTrainNaiveBayes:
         )
 
 
+    def test_value_absent_from_training_rows_is_unseen(self):
+        # "z" is in the vocabulary of the coded full dataset, not in the
+        # training rows sliced from it
+        full = toy_dataset(
+            [HAND_COLUMNS[0] + ["z"], HAND_COLUMNS[1] + ["p"]], HAND_LABELS + ["b"]
+        )
+        full.coding()
+        train, test = full.subset([0, 1, 2, 3]), full.subset([4])
+        model = train_naive_bayes(train)
+        assert model.feature_values == (("x", "y"), ("p", "q"))
+        assert [table.shape for table in model.cond] == [(3, 2), (3, 2)]
+        scores = model.log_posteriors(test)[0]
+        posterior = np.exp(scores - scores.max()) / np.exp(scores - scores.max()).sum()
+        expected = oracle_posterior(("z", "p"))
+        assert posterior.tolist() == pytest.approx([expected["a"], expected["b"]], abs=1e-12)
+
+
 class TestNbPredict:
     def test_memorized_single_record(self):
         ds = toy_dataset([["x"], ["p"]], ["a"])
@@ -157,7 +178,8 @@ class TestNbPredict:
             for c, lbl in enumerate(model.labels):
                 s = model.priors[c]
                 for f, value in enumerate(r.values):
-                    idx = model._value_index[f].get(value, len(model.feature_values[f]))
+                    values = model.feature_values[f]
+                    idx = values.index(value) if value in values else len(values)
                     s *= model.cond[f][idx, c]
                 direct[lbl] = s
             total = sum(direct.values())
@@ -305,3 +327,83 @@ class TestEnsemblePredict:
         nb = train_naive_bayes(ds)
         nb_again = NaiveBayesModel.from_payload(nb.to_payload())
         assert np.array_equal(nb.log_posteriors(ds), nb_again.log_posteriors(ds))
+
+
+def uncoded(ds, weights=None):
+    """Copy of a dataset that carries no coding of its own."""
+    return Dataset(
+        ds.schema,
+        tuple(c.copy() for c in ds.columns),
+        ds.labels.copy(),
+        ds.weights.copy() if weights is None else weights,
+        ds.granularity,
+    )
+
+
+def reference_adaboost(ds, rounds, labels):
+    """AdaBoost.M1 that trains and predicts on freshly read columns each round."""
+    y = np.asarray([labels.index(lbl) for lbl in ds.labels])
+    weights = np.full(len(ds), 1.0 / len(ds))
+    kept = []
+    for t in range(rounds):
+        model = train_naive_bayes(uncoded(ds, weights), label_set=labels)
+        mis = nb_predict_batch(model, uncoded(ds)) != y
+        error = float(weights[mis].sum())
+        if error >= 0.5:
+            if t == 0:
+                kept.append((model, MIN_VOTE_WEIGHT))
+            break
+        if error == 0.0:
+            kept.append((model, math.log((1.0 - ERROR_FLOOR) / ERROR_FLOOR)))
+            break
+        kept.append((model, math.log((1.0 - error) / error)))
+        weights = weights.copy()
+        weights[mis] *= (1.0 - error) / error
+        weights /= weights.sum()
+    return EnsembleModel(labels=labels, rounds=tuple(kept))
+
+
+def reference_predict(ensemble, ds):
+    votes = np.zeros((len(ds), len(ensemble.labels)))
+    for model, vote in ensemble.rounds:
+        votes[np.arange(len(ds)), nb_predict_batch(model, uncoded(ds))] += vote
+    return votes.argmax(axis=1)
+
+
+@st.composite
+def split_datasets(draw):
+    """A dataset mixing object and int columns, coded in full, and a row split."""
+    n = draw(st.integers(4, 40))
+    rows = st.lists(st.integers(0, 3), min_size=n, max_size=n)
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        values = draw(rows)
+        if draw(st.booleans()):
+            columns.append(np.asarray(values, dtype=np.int64))
+        else:
+            columns.append(np.asarray(["tcp", "udp", "icmp", "SF"], dtype=object)[values])
+    labels = np.asarray(draw(st.lists(st.sampled_from("abc"), min_size=n, max_size=n)), dtype=object)
+    full = Dataset(
+        FeatureSchema(tuple((f"f{i}", DISCRETE) for i in range(1, len(columns) + 1))),
+        tuple(columns),
+        labels,
+        np.ones(n),
+    )
+    full.coding()
+    in_train = draw(st.lists(st.booleans(), min_size=n, max_size=n).filter(any))
+    return full, np.flatnonzero(in_train), np.flatnonzero(np.logical_not(in_train))
+
+
+class TestCodedPath:
+    @given(split=split_datasets(), rounds=st.integers(1, 6))
+    @settings(max_examples=80, deadline=None)
+    def test_boosting_matches_per_round_raw_reference(self, split, rounds):
+        full, train_idx, test_idx = split
+        labels = full.label_set()
+        train, test = full.subset(train_idx), full.subset(test_idx)
+        ensemble = train_adaboost_m1(train, rounds=rounds, label_set=labels)
+        reference = reference_adaboost(uncoded(train), rounds, labels)
+        assert ensemble.to_json() == reference.to_json()
+        assert np.array_equal(
+            ensemble_predict_batch(ensemble, test), reference_predict(reference, test)
+        )

@@ -243,3 +243,27 @@ class TestRunExperimentApi:
             (tmp_path / "api" / "sample_manifest.json").read_text()
         )
         assert manifest["target_counts"] == counts
+
+    @pytest.mark.parametrize("mode, fits", [("leaky", 1), ("fold-safe", 3 + 1)])
+    def test_preprocessing_fits(self, small_synth, tmp_path, monkeypatch, mode, fits):
+        # leaky CV and the deployment artifacts share one full-data fit;
+        # fold-safe CV fits per fold and once more for deployment
+        from idspipe import discretize
+        from idspipe.config import ClassifierConfig, CrossValConfig, ExperimentConfig
+
+        calls = []
+        fit = discretize.fit_discretizer
+        monkeypatch.setattr(
+            discretize, "fit_discretizer", lambda *a, **kw: calls.append(1) or fit(*a, **kw)
+        )
+        config = PipelineConfig(
+            input_path=str(small_synth),
+            sample=None,
+            experiment=ExperimentConfig(
+                discretization=mode, classifier=ClassifierConfig(boost=False)
+            ),
+            cv=CrossValConfig(k=3, seed=1),
+            output_dir=str(tmp_path / mode),
+        )
+        run_experiment(config)
+        assert len(calls) == fits

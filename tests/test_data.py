@@ -208,6 +208,26 @@ class TestStratifiedFolds:
             if labels.count(lbl) < k:
                 assert sum(1 for c in counts if c > 0) == labels.count(lbl)
 
+    @given(
+        labels=st.lists(st.sampled_from("abcd"), min_size=2, max_size=80),
+        k=st.integers(2, 10),
+        seed=st.integers(0, 2**31),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_record_dealing(self, labels, k, seed):
+        k = min(k, len(labels))
+        ds = toy_dataset([["x"] * len(labels)], labels)
+        rng = np.random.default_rng(seed)
+        expected = np.empty(len(labels), dtype=np.int64)
+        offset = 0
+        for label in sorted(set(labels)):
+            idx = np.flatnonzero(ds.labels == label)
+            idx = idx[rng.permutation(len(idx))]
+            for j, record_idx in enumerate(idx):
+                expected[record_idx] = (offset + j) % k
+            offset += len(idx)
+        assert stratified_folds(ds, k, seed).assignments.tolist() == expected.tolist()
+
     def test_plan_payload_roundtrip(self):
         ds = toy_dataset([["x"] * 20], ["a"] * 12 + ["b"] * 8)
         plan = stratified_folds(ds, 4, seed=5)

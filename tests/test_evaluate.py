@@ -51,6 +51,22 @@ class TestConfusion:
         with pytest.raises(UnknownLabelError):
             confusion(["a"], ["z"], ("a", "b"))
 
+    def test_unknown_truth_label(self):
+        with pytest.raises(UnknownLabelError):
+            confusion(["a", "q"], ["a", "b"], ("a", "b"))
+
+    @given(
+        pairs=st.lists(st.tuples(st.sampled_from("abc"), st.sampled_from("abc")), max_size=60),
+        order=st.permutations("abc"),
+    )
+    @settings(max_examples=60)
+    def test_matches_pair_loop(self, pairs, order):
+        expected = np.zeros((3, 3), dtype=np.int64)
+        for t, p in pairs:
+            expected[order.index(t), order.index(p)] += 1
+        m = confusion([t for t, _ in pairs], [p for _, p in pairs], tuple(order))
+        assert m.counts.tolist() == expected.tolist()
+
     def test_row_sums_are_supports(self):
         m = confusion(["a", "a", "b"], ["b", "b", "b"], ("a", "b"))
         assert m.support("a") == 2

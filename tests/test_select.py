@@ -319,6 +319,22 @@ class TestRankThreshold:
         with pytest.raises(ValueError):
             rank_threshold(ds, "ig", 1.5)
 
+    @given(seed=st.integers(0, 50), scorer=st.sampled_from(["ig", "gainratio", "su"]))
+    @settings(max_examples=60, deadline=None)
+    def test_scores_equal_raw_column_scorers(self, seed, scorer):
+        # scored from a coding sliced out of a larger dataset, so some
+        # vocabulary values and classes are absent from the scored rows
+        full = random_discrete_dataset(seed)
+        full.coding()
+        ds = full.subset(np.arange(0, len(full), 2))
+        score_fn = {"ig": info_gain, "gainratio": gain_ratio, "su": symmetrical_uncertainty}
+        expected = {
+            i: float(score_fn[scorer](ds.column(i), ds.labels))
+            for i in range(1, len(ds.schema) + 1)
+        }
+        ranked = dict(rank_threshold(ds, scorer, 0.0).entries)
+        assert ranked == (expected if max(expected.values()) > 0.0 else {})
+
     def test_gainratio_and_su_scorers_run(self):
         ds = planted_dataset(0)
         assert rank_threshold(ds, "gainratio", 0.3).indices[0] == 1
