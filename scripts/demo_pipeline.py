@@ -36,8 +36,7 @@ def main():
         start = time.monotonic()
         report = cross_validate(ds, config, k=args.k, seed=args.seed)
         elapsed = time.monotonic() - start
-        name = "adaboost-nb" if boost else "nb"
-        print(f"\n=== hybrid selection + {name} ({elapsed:.1f}s) ===")
+        print(f"\n=== hybrid selection + {config.classifier.kind} ({elapsed:.1f}s) ===")
         print(report.format_table())
 
 

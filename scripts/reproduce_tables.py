@@ -9,11 +9,10 @@ F-measure breakdown.
 """
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
-from idspipe.pipeline import reproduce_tables
+from idspipe import cli
 
 
 def main():
@@ -30,22 +29,12 @@ def main():
     ap.add_argument("--k", type=int, default=10)
     args = ap.parse_args()
 
-    path = Path(args.train_file)
-    if not path.exists():
-        root = os.environ.get("IDSPIPE_DATA")
-        if root and (Path(root) / args.train_file).exists():
-            path = Path(root) / args.train_file
-        else:
-            sys.exit(
-                f"cannot find {args.train_file}; set IDSPIPE_DATA to the "
-                "directory holding the NSL-KDD files"
-            )
-
-    written = reproduce_tables(
-        str(path), args.out, seed=args.seed, rounds=args.rounds, k=args.k, sample=True
-    )
-    for name in sorted(written):
-        print(f"wrote {written[name]}")
+    code = cli.main([
+        "reproduce-tables", args.train_file, "--out", args.out,
+        "--seed", str(args.seed), "--rounds", str(args.rounds), "--k", str(args.k),
+    ])
+    if code:
+        sys.exit(code)
     print((Path(args.out) / "selector_comparison_23class.txt").read_text())
 
 

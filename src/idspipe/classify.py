@@ -16,6 +16,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
+from .config import ClassifierConfig
 from .data import Coding, Dataset, Record, check_discrete, vocab_lookup
 from .errors import SchemaError
 
@@ -39,10 +40,16 @@ class NaiveBayesModel:
     cond: tuple[np.ndarray, ...]  # per feature: (n_values + 1, n_classes)
     _log_priors: np.ndarray = field(init=False, repr=False)
     _log_cond: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    _rows: tuple[dict[str, int], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         self._log_priors = np.log(self.priors)
         self._log_cond = tuple(np.log(c) for c in self.cond)
+        # values are matched by their CSV text form, so a model fitted on
+        # in-memory bins (ints) reads the same bins back from a dataset CSV
+        self._rows = tuple(
+            {str(v): i for i, v in enumerate(values)} for values in self.feature_values
+        )
 
     @property
     def n_features(self) -> int:
@@ -59,8 +66,8 @@ class NaiveBayesModel:
         for f, (codes, vocab) in enumerate(zip(coding.columns, coding.vocabs)):
             # table row of every vocabulary code; values the model never saw
             # take the reserved last row
-            rows = vocab_lookup(vocab, self.feature_values[f])
-            rows[rows < 0] = len(self.feature_values[f])
+            index, unseen = self._rows[f], len(self.feature_values[f])
+            rows = np.asarray([index.get(str(v), unseen) for v in vocab], dtype=np.int64)
             scores += self._log_cond[f][rows][codes]
         return scores
 
@@ -312,6 +319,22 @@ def train_adaboost_m1(
     if not kept:
         raise RuntimeError("boosting produced no usable round")
     return EnsembleModel(labels=labels, rounds=tuple(kept))
+
+
+def train_classifier(
+    ds: Dataset, config: ClassifierConfig, label_set: Sequence[str] | None = None
+) -> EnsembleModel:
+    """Train the configured classifier; every trained classifier is an ensemble.
+
+    Plain naive Bayes is the one-round case, with vote 1: a single round's
+    weighted vote has the same argmax as the naive Bayes model itself.
+    """
+    if config.boost:
+        return train_adaboost_m1(
+            ds, rounds=config.rounds, smoothing=config.smoothing, label_set=label_set
+        )
+    model = train_naive_bayes(ds, smoothing=config.smoothing, label_set=label_set)
+    return EnsembleModel(labels=model.labels, rounds=((model, 1.0),))
 
 
 def ensemble_predict(e: EnsembleModel, r: Record) -> str:

@@ -7,6 +7,7 @@ against it.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import sys
@@ -15,7 +16,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import classify, data, discretize, select
+from . import classify, data, discretize, pipeline, select
 from .config import (
     DEFAULT_HYBRID_ALPHA,
     ClassifierConfig,
@@ -27,7 +28,7 @@ from .config import (
 )
 from .errors import DataError, StageError
 from .evaluate import build_report
-from .pipeline import load_model_payload, reproduce_tables, run_experiment
+from .pipeline import load_model_payload, model_json, reproduce_tables, run_experiment
 
 
 def _resolve_input(path: str) -> str:
@@ -60,34 +61,17 @@ def cli():
     help="Distribution-match before output: 'reference' or a JSON counts file.",
 )
 @click.option("--sample-seed", type=int, default=0, show_default=True)
+@pipeline._stage("ingest")
 def ingest(input_path, out, granularity, sample, sample_seed):
     """Parse a 42/43-field record file into a validated dataset CSV."""
-    path = _resolve_input(input_path)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            ds = data.parse_records(fh)
-    except OSError as exc:
-        raise StageError("ingest", str(exc), exit_code=2) from exc
-    except DataError as exc:
-        raise StageError("ingest", str(exc), exit_code=2) from exc
-    if sample:
-        counts = (
-            data.reference_sample_counts()
-            if sample == "reference"
-            else {
-                str(k): int(v) for k, v in json.loads(Path(sample).read_text()).items()
-            }
-        )
-        idx = data.sample_indices(ds, counts, sample_seed)
-        manifest = {
-            "seed": sample_seed,
-            "target_counts": counts,
-            "selected_indices": [int(i) for i in idx],
-        }
-        ds = ds.subset(idx)
+    ds = pipeline._ingest(_resolve_input(input_path))
+    ds, manifest = pipeline._sample(
+        SampleConfig(target=sample, seed=sample_seed) if sample else None, ds
+    )
+    if manifest is not None:
         manifest_path = Path(out).with_name(Path(out).name + ".manifest.json")
         manifest_path.parent.mkdir(parents=True, exist_ok=True)
-        manifest_path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+        pipeline._write_json(manifest_path, manifest)
     if granularity == data.CATEGORY5:
         ds = data.map_labels(ds, data.CATEGORY5)
     data.write_dataset(ds, out)
@@ -103,6 +87,7 @@ def ingest(input_path, out, granularity, sample, sample_seed):
     default="boundary",
     show_default=True,
 )
+@pipeline._stage("discretize")
 def discretize_cmd(dataset_path, out, candidates):
     """Fit MDL cut points on a dataset and write the binned copy."""
     ds = data.read_dataset(_resolve_input(dataset_path))
@@ -125,6 +110,7 @@ def discretize_cmd(dataset_path, out, candidates):
 )
 @click.option("--alpha", type=float, default=DEFAULT_HYBRID_ALPHA, show_default=True)
 @click.option("--out", required=True, help="Output selection JSON path.")
+@pipeline._stage("select")
 def select_cmd(dataset_path, method, alpha, out):
     """Run one selection method on a fully discrete dataset."""
     ds = data.read_dataset(_resolve_input(dataset_path))
@@ -144,6 +130,7 @@ def select_cmd(dataset_path, method, alpha, out):
 @click.option("--rounds", type=int, default=10, show_default=True)
 @click.option("--smoothing", type=float, default=1.0, show_default=True)
 @click.option("--out", required=True, help="Output model JSON path.")
+@pipeline._stage("train")
 def train_cmd(dataset_path, selection_path, boost, rounds, smoothing, out):
     """Train the (optionally boosted) naive Bayes classifier."""
     ds = data.read_dataset(_resolve_input(dataset_path))
@@ -152,46 +139,27 @@ def train_cmd(dataset_path, selection_path, boost, rounds, smoothing, out):
         result = select.SelectionResult.from_json(Path(selection_path).read_text())
         features = list(result.subset.indices)
         ds = ds.project(features)
-    if boost:
-        model = classify.train_adaboost_m1(ds, rounds=rounds, smoothing=smoothing)
-        payload = {
-            "version": 1,
-            "type": "adaboost-nb",
-            "features": features,
-            "model": model.to_payload(),
-        }
-    else:
-        model = classify.train_naive_bayes(ds, smoothing=smoothing)
-        payload = {
-            "version": 1,
-            "type": "nb",
-            "features": features,
-            "model": model.to_payload(),
-        }
+    config = ClassifierConfig(boost=boost, rounds=rounds, smoothing=smoothing)
+    model = classify.train_classifier(ds, config)
     Path(out).parent.mkdir(parents=True, exist_ok=True)
-    Path(out).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    click.echo(f"trained {payload['type']} model on {len(ds)} records")
+    Path(out).write_text(model_json(config.kind, model, features))
+    click.echo(f"trained {config.kind} model on {len(ds)} records")
 
 
 @cli.command("eval")
 @click.argument("dataset_path")
 @click.option("--model", "model_path", required=True, help="Model JSON path.")
 @click.option("--out", required=True, help="Output report JSON path.")
+@pipeline._stage("eval")
 def eval_cmd(dataset_path, model_path, out):
     """Evaluate a trained model on a held-out discrete dataset."""
     ds = data.read_dataset(_resolve_input(dataset_path))
     kind, model, features = load_model_payload(
         json.loads(Path(model_path).read_text())
     )
-    projected = ds.project(features)
-    if kind == "adaboost-nb":
-        codes = classify.ensemble_predict_batch(model, projected)
-        labels = model.labels
-    else:
-        codes = classify.nb_predict_batch(model, projected)
-        labels = model.labels
-    preds = np.asarray([labels[c] for c in codes], dtype=object)
-    label_set = sorted(set(labels) | set(ds.labels.tolist()))
+    codes = classify.ensemble_predict_batch(model, ds.project(features))
+    preds = np.asarray(model.labels, dtype=object)[codes]
+    label_set = sorted(set(model.labels) | set(ds.labels.tolist()))
     report = build_report(
         ds.labels,
         preds,
@@ -271,14 +239,7 @@ def run_cmd(config_path, **kw):
         config = _apply_overrides(base, **kw)
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
-    config = PipelineConfig(
-        input_path=_resolve_input(config.input_path),
-        granularity=config.granularity,
-        sample=config.sample,
-        experiment=config.experiment,
-        cv=config.cv,
-        output_dir=config.output_dir,
-    )
+    config = dataclasses.replace(config, input_path=_resolve_input(config.input_path))
     result = run_experiment(config)
     click.echo(result.report.format_table())
     click.echo(f"artifacts in {config.output_dir}")

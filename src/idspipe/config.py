@@ -50,6 +50,11 @@ class ClassifierConfig:
         if self.smoothing <= 0:
             raise ValueError("classifier.smoothing must be positive")
 
+    @property
+    def kind(self) -> str:
+        """Classifier type named in report descriptors and ``model.json``."""
+        return "adaboost-nb" if self.boost else "nb"
+
 
 @dataclass(frozen=True)
 class CrossValConfig:

@@ -245,6 +245,11 @@ class Preprocessing(NamedTuple):
     selection: select.SelectionResult
     reduced: Dataset  # discretized, projected onto the selected features
 
+    def transform(self, ds: Dataset) -> Dataset:
+        """Discretize ``ds``, then project it onto the selected features."""
+        binned = discretize.apply_discretizer(self.discretizer, ds)
+        return binned.project(self.selection.subset.indices)
+
 
 def fit_preprocessing(ds: Dataset, config) -> Preprocessing:
     """Fit the configured discretizer, then the selection, on ``ds``."""
@@ -255,21 +260,11 @@ def fit_preprocessing(ds: Dataset, config) -> Preprocessing:
 
 
 def _fit_predict(
-    train: Dataset,
-    test: Dataset,
-    label_set: Sequence[str],
-    boost: bool,
-    rounds: int,
-    smoothing: float,
+    train: Dataset, test: Dataset, label_set: Sequence[str], classifier
 ) -> np.ndarray:
     """Class index (into ``label_set``) predicted for every test record."""
-    if boost:
-        model = classify.train_adaboost_m1(
-            train, rounds=rounds, smoothing=smoothing, label_set=label_set
-        )
-        return classify.ensemble_predict_batch(model, test)
-    model = classify.train_naive_bayes(train, smoothing=smoothing, label_set=label_set)
-    return classify.nb_predict_batch(model, test)
+    model = classify.train_classifier(train, classifier, label_set=label_set)
+    return classify.ensemble_predict_batch(model, test)
 
 
 def cross_validate(ds: Dataset, config, k: int, seed: int) -> EvaluationReport:
@@ -313,9 +308,7 @@ def cross_validate_plan(
                 reduced.subset(train_idx),
                 reduced.subset(test_idx),
                 label_set,
-                config.classifier.boost,
-                config.classifier.rounds,
-                config.classifier.smoothing,
+                config.classifier,
             )
         selection_desc = {
             "method": selection.method,
@@ -326,22 +319,13 @@ def cross_validate_plan(
         for fold in range(plan.k):
             train_idx = plan.train_indices(fold)
             test_idx = plan.test_indices(fold)
-            train = ds.subset(train_idx)
-            test = ds.subset(test_idx)
-            dmodel = discretize.fit_discretizer(train, candidates=config.candidates)
-            dtrain = discretize.apply_discretizer(dmodel, train)
-            dtest = discretize.apply_discretizer(dmodel, test)
-            selection = select.run_selection(
-                dtrain, config.selection.method, config.selection.alpha
-            )
-            fold_selections.append(list(selection.subset.indices))
+            fold_fit = fit_preprocessing(ds.subset(train_idx), config)
+            fold_selections.append(list(fold_fit.selection.subset.indices))
             preds[test_idx] = _fit_predict(
-                dtrain.project(selection.subset.indices),
-                dtest.project(selection.subset.indices),
+                fold_fit.reduced,
+                fold_fit.transform(ds.subset(test_idx)),
                 label_set,
-                config.classifier.boost,
-                config.classifier.rounds,
-                config.classifier.smoothing,
+                config.classifier,
             )
         selection_desc = {
             "method": config.selection.method,
@@ -358,7 +342,7 @@ def cross_validate_plan(
         "discretization": config.discretization,
         "selection": selection_desc,
         "classifier": {
-            "type": "adaboost-nb" if config.classifier.boost else "nb",
+            "type": config.classifier.kind,
             "rounds": config.classifier.rounds if config.classifier.boost else None,
             "smoothing": config.classifier.smoothing,
         },

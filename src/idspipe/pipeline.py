@@ -8,12 +8,13 @@ produce byte-identical files.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
 
 from . import classify
-from .config import PipelineConfig
+from .config import PipelineConfig, SampleConfig
 from .data import (
     ATTACK23,
     CATEGORY5,
@@ -38,6 +39,7 @@ def _stage(name: str):
     """Decorator mapping stage failures onto StageError with exit codes."""
 
     def wrap(fn):
+        @functools.wraps(fn)
         def inner(*args, **kwargs):
             try:
                 return fn(*args, **kwargs)
@@ -54,8 +56,8 @@ def _stage(name: str):
 
 
 @_stage("ingest")
-def _ingest(config: PipelineConfig) -> Dataset:
-    path = Path(config.input_path)
+def _ingest(input_path: str) -> Dataset:
+    path = Path(input_path)
     if not path.exists():
         raise FileNotFoundError(f"input file not found: {path}")
     with open(path, "r", encoding="utf-8") as fh:
@@ -63,19 +65,20 @@ def _ingest(config: PipelineConfig) -> Dataset:
 
 
 @_stage("sample")
-def _sample(config: PipelineConfig, ds: Dataset):
-    if config.sample is None:
+def _sample(sample: SampleConfig | None, ds: Dataset):
+    """The distribution-matched sample of ``ds`` and its manifest."""
+    if sample is None:
         return ds, None
-    if config.sample.target == "reference":
+    if sample.target == "reference":
         counts = reference_sample_counts()
     else:
         counts = {
             str(k): int(v)
-            for k, v in json.loads(Path(config.sample.target).read_text()).items()
+            for k, v in json.loads(Path(sample.target).read_text()).items()
         }
-    idx = sample_indices(ds, counts, config.sample.seed)
+    idx = sample_indices(ds, counts, sample.seed)
     manifest = {
-        "seed": config.sample.seed,
+        "seed": sample.seed,
         "target_counts": counts,
         "selected_indices": [int(i) for i in idx],
     }
@@ -106,39 +109,38 @@ def _deployment_artifacts(config: PipelineConfig, ds: Dataset, fitted):
     """
     if fitted is None:
         fitted = fit_preprocessing(ds, config.experiment)
-    dmodel, selection, reduced = fitted
-    if config.experiment.classifier.boost:
-        model = classify.train_adaboost_m1(
-            reduced,
-            rounds=config.experiment.classifier.rounds,
-            smoothing=config.experiment.classifier.smoothing,
-        )
-        kind = "adaboost-nb"
-    else:
-        model = classify.train_naive_bayes(
-            reduced, smoothing=config.experiment.classifier.smoothing
-        )
-        kind = "nb"
-    model_payload = {
+    model = classify.train_classifier(fitted.reduced, config.experiment.classifier)
+    return fitted.discretizer, fitted.selection, model
+
+
+def model_json(kind: str, model: classify.EnsembleModel, features) -> str:
+    """The ``model.json`` text: classifier type, selected features, ensemble.
+
+    The one writer of the format :func:`load_model_payload` reads.
+    """
+    payload = {
         "version": 1,
         "type": kind,
-        "features": list(selection.subset.indices),
+        "features": list(features),
         "model": model.to_payload(),
     }
-    return dmodel, selection, model_payload
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def load_model_payload(payload: dict):
-    """Decode a serialized model artifact into (kind, model, feature indices)."""
+    """Decode a ``model.json`` payload into (type, ensemble, feature indices).
+
+    Plain naive Bayes is stored as a one-round ensemble; a bare naive Bayes
+    payload (no ``rounds``) from before that is read as one round with vote 1.
+    """
     kind = payload["type"]
-    features = [int(i) for i in payload["features"]]
-    if kind == "adaboost-nb":
-        model = classify.EnsembleModel.from_payload(payload["model"])
-    elif kind == "nb":
-        model = classify.NaiveBayesModel.from_payload(payload["model"])
-    else:
+    if kind not in ("nb", "adaboost-nb"):
         raise ValueError(f"unknown model type {kind!r}")
-    return kind, model, features
+    model = payload["model"]
+    if "rounds" not in model:
+        model = {"labels": model["labels"], "rounds": [{"vote_weight": 1.0, "model": model}]}
+    features = [int(i) for i in payload["features"]]
+    return kind, classify.EnsembleModel.from_payload(model), features
 
 
 def _write_json(path: Path, payload) -> None:
@@ -147,8 +149,8 @@ def _write_json(path: Path, payload) -> None:
 
 def run_experiment(config: PipelineConfig) -> RunResult:
     """Execute ingest -> sample -> label-map -> CV evaluation -> artifacts."""
-    ds = _ingest(config)
-    ds, manifest = _sample(config, ds)
+    ds = _ingest(config.input_path)
+    ds, manifest = _sample(config.sample, ds)
     ds = _map(config, ds)
 
     try:
@@ -161,7 +163,7 @@ def run_experiment(config: PipelineConfig) -> RunResult:
     descriptor_config.pop("output_dir")  # not part of the experiment identity
     report.descriptor["config"] = descriptor_config
 
-    dmodel, selection, model_payload = _deployment_artifacts(config, ds, fitted)
+    dmodel, selection, model = _deployment_artifacts(config, ds, fitted)
 
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -181,7 +183,10 @@ def run_experiment(config: PipelineConfig) -> RunResult:
         )
     emit("discretizer.json", dmodel.to_json())
     emit("selection.json", selection.to_json())
-    emit("model.json", json.dumps(model_payload, sort_keys=True, indent=2) + "\n")
+    emit(
+        "model.json",
+        model_json(config.experiment.classifier.kind, model, selection.subset.indices),
+    )
     emit("report.json", report.to_json())
     emit("report.txt", report.format_table())
     return RunResult(report=report, artifacts=artifacts)

@@ -16,8 +16,10 @@ from idspipe.classify import (
     nb_predict,
     nb_predict_batch,
     train_adaboost_m1,
+    train_classifier,
     train_naive_bayes,
 )
+from idspipe.config import ClassifierConfig
 from idspipe.data import DISCRETE, Dataset, FeatureSchema, Record
 
 from conftest import toy_dataset
@@ -158,6 +160,13 @@ class TestNbPredict:
         expected = oracle_posterior(("zzz", "q"))
         assert post["a"] == pytest.approx(expected["a"], abs=1e-12)
         assert sum(post.values()) == pytest.approx(1.0, abs=1e-12)
+
+    def test_values_match_by_csv_text_form(self):
+        # bins fitted in memory are ints; read back from a dataset CSV they are text
+        model = train_naive_bayes(toy_dataset([[0, 1, 2, 10, 1, 0]], list("aabbba")))
+        as_text = toy_dataset([["0", "1", "2", "10", "1", "0", "7"]], list("aabbbaa"))
+        as_ints = toy_dataset([[0, 1, 2, 10, 1, 0, 7]], list("aabbbaa"))
+        assert np.array_equal(model.log_posteriors(as_text), model.log_posteriors(as_ints))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_posteriors_sum_to_one(self, seed):
@@ -327,6 +336,23 @@ class TestEnsemblePredict:
         nb = train_naive_bayes(ds)
         nb_again = NaiveBayesModel.from_payload(nb.to_payload())
         assert np.array_equal(nb.log_posteriors(ds), nb_again.log_posteriors(ds))
+
+
+class TestTrainClassifier:
+    def test_plain_nb_is_one_round_with_vote_one(self):
+        ds = random_dataset(4)
+        ensemble = train_classifier(ds, ClassifierConfig(boost=False, smoothing=0.5))
+        model = train_naive_bayes(ds, smoothing=0.5)
+        [(round_model, vote)] = ensemble.rounds
+        assert vote == 1.0
+        assert round_model.to_payload() == model.to_payload()
+        assert ensemble.labels == model.labels
+
+    def test_boosted_is_adaboost_m1(self):
+        ds = random_dataset(5)
+        ensemble = train_classifier(ds, ClassifierConfig(rounds=3), label_set=("a", "b"))
+        reference = train_adaboost_m1(ds, rounds=3, label_set=("a", "b"))
+        assert ensemble.to_json() == reference.to_json()
 
 
 def uncoded(ds, weights=None):

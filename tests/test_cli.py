@@ -94,6 +94,18 @@ class TestStageCommands:
         report = json.loads(report_path.read_text())
         assert report["matrix"]["counts"]
 
+        # plain NB is stored as a one-round ensemble with vote 1; a bare NB
+        # payload written before that still evaluates to the same report
+        [only_round] = payload["model"]["rounds"]
+        assert only_round["vote_weight"] == 1.0
+        bare_path = tmp_path / "bare-model.json"
+        bare_path.write_text(json.dumps(dict(payload, model=only_round["model"])))
+        bare_report = tmp_path / "bare-report.json"
+        assert run_cli(
+            "eval", binned, "--model", bare_path, "--out", bare_report
+        ) == 0
+        assert bare_report.read_bytes() == report_path.read_bytes()
+
     def test_ingest_with_sampling_and_manifest(self, small_synth, tmp_path):
         counts_path = tmp_path / "counts.json"
         counts_path.write_text(json.dumps({"normal": 40, "neptune": 20}))
@@ -119,6 +131,73 @@ class TestStageCommands:
         monkeypatch.setenv("IDSPIPE_DATA", str(small_synth.parent))
         out = tmp_path / "resolved.csv"
         assert run_cli("ingest", small_synth.name, "--out", out) == 0
+
+
+class TestStageFailures:
+    @pytest.fixture()
+    def raw_csv(self, small_synth, tmp_path):
+        path = tmp_path / "raw.csv"  # continuous features left undiscretized
+        assert run_cli("ingest", small_synth, "--out", path) == 0
+        return path
+
+    @pytest.mark.parametrize(
+        "args, stage",
+        [
+            (["ingest", "{bad}", "--out", "{tmp}/x.csv"], "ingest"),
+            (["ingest", "{synth}", "--out", "{tmp}/x.csv", "--sample", "{bad}"], "sample"),
+            (["discretize", "{tmp}/missing.csv", "--out", "{tmp}/d"], "discretize"),
+            (["select", "{raw}", "--out", "{tmp}/s.json"], "select"),
+            (["train", "{raw}", "--out", "{tmp}/m.json"], "train"),
+            (["eval", "{raw}", "--model", "{bad}", "--out", "{tmp}/r.json"], "eval"),
+        ],
+        ids=["ingest", "ingest-sample", "discretize", "select", "train", "eval"],
+    )
+    def test_data_error_names_its_stage(
+        self, small_synth, raw_csv, tmp_path, capsys, args, stage
+    ):
+        bad = tmp_path / "bad.txt"  # neither a record file nor JSON
+        bad.write_text("1,2,3\n")
+        capsys.readouterr()
+        fields = {"bad": bad, "synth": small_synth, "raw": raw_csv, "tmp": tmp_path}
+        code = run_cli(*[a.format(**fields) for a in args])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: stage {stage}: ")
+        assert len(err.strip().splitlines()) == 1
+
+
+class TestModelArtifact:
+    @pytest.mark.parametrize("boost", ["--boost", "--no-boost"])
+    def test_run_model_evaluates_the_discretize_csv(self, small_synth, tmp_path, boost):
+        # run's model.json stores bins as ints; the discretized CSV reads them
+        # back as text, and both must land in the same table rows
+        run_dir, disc = tmp_path / "run", tmp_path / "disc"
+        assert run_cli(
+            "run", "--input", small_synth, "--sample", "none", "--method", "hybrid",
+            boost, "--rounds", "3", "--k", "3", "--out", run_dir,
+        ) == 0
+        assert run_cli("ingest", small_synth, "--out", tmp_path / "ds.csv") == 0
+        assert run_cli("discretize", tmp_path / "ds.csv", "--out", disc) == 0
+        assert (disc / "discretizer.json").read_bytes() == (
+            run_dir / "discretizer.json"
+        ).read_bytes()
+        binned = disc / "discretized.csv"
+        assert run_cli(
+            "eval", binned, "--model", run_dir / "model.json", "--out", tmp_path / "a.json"
+        ) == 0
+        # reference: the same classifier fitted on the CSV with run's selection
+        assert run_cli(
+            "train", binned, "--selection", run_dir / "selection.json", boost,
+            "--rounds", "3", "--out", tmp_path / "csv-model.json",
+        ) == 0
+        assert run_cli(
+            "eval", binned, "--model", tmp_path / "csv-model.json",
+            "--out", tmp_path / "b.json",
+        ) == 0
+        from_run = json.loads((tmp_path / "a.json").read_text())
+        from_csv = json.loads((tmp_path / "b.json").read_text())
+        assert from_run["matrix"] == from_csv["matrix"]
+        assert from_run["weighted"]["f_measure"] > 0.8
 
 
 class TestRunArtifacts:
