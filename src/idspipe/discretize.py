@@ -12,12 +12,12 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
-from .data import Dataset, FeatureSchema
+from .data import Dataset, FeatureSchema, encode
 from .errors import SchemaError
 
 CANDIDATE_MODES = ("boundary", "all")
@@ -48,8 +48,7 @@ def _row_entropies(counts: np.ndarray) -> np.ndarray:
     totals = counts.sum(axis=1, keepdims=True)
     safe = np.where(totals > 0, totals, 1.0)
     p = counts / safe
-    terms = np.where(counts > 0, p * np.log2(np.where(counts > 0, p, 1.0)), 0.0)
-    return -terms.sum(axis=1)
+    return -(p * np.log2(np.where(counts > 0, p, 1.0))).sum(axis=1)
 
 
 def mdlp_cuts(values, labels, candidates: str = "boundary") -> list[float]:
@@ -69,32 +68,37 @@ def mdlp_cuts(values, labels, candidates: str = "boundary") -> list[float]:
         raise ValueError("values and labels must have the same length")
     if values.size == 0:
         return []
-    _, y = np.unique(labels, return_inverse=True)
-    n_classes = int(y.max()) + 1
+    y, classes = encode(labels)
+    return _mdlp_cuts(values, y, len(classes), candidates)
 
+
+def _mdlp_cuts(values: np.ndarray, y: np.ndarray, n_classes: int, candidates: str) -> list[float]:
+    """:func:`mdlp_cuts` of non-empty float ``values`` and class codes ``y < n_classes``."""
     order = np.argsort(values, kind="stable")
     v_sorted = values[order]
-    y_sorted = y[order]
 
-    # Collapse to distinct-value groups with per-group class counts.
-    group_starts = np.flatnonzero(np.concatenate(([True], np.diff(v_sorted) > 0)))
-    group_values = v_sorted[group_starts]
-    group_id = np.cumsum(np.concatenate(([0], (np.diff(v_sorted) > 0).astype(int))))
-    group_counts = np.zeros((len(group_values), n_classes), dtype=float)
-    np.add.at(group_counts, (group_id, y_sorted), 1.0)
+    # Collapse to distinct-value groups with per-group class counts, and
+    # prefix[g] = class counts of the groups before g. Counts are integers
+    # held in floats, so differences of prefix rows are exact.
+    new_group = np.diff(v_sorted) > 0
+    group_values = v_sorted[np.flatnonzero(np.concatenate(([True], new_group)))]
+    n_groups = len(group_values)
+    group_id = np.concatenate(([0], np.cumsum(new_group)))
+    group_counts = np.bincount(
+        group_id * n_classes + y[order], minlength=n_groups * n_classes
+    ).reshape(n_groups, n_classes).astype(float)
+    prefix = np.zeros((n_groups + 1, n_classes))
+    np.cumsum(group_counts, axis=0, out=prefix[1:])
 
     group_pure = (group_counts > 0).sum(axis=1) == 1
     group_class = group_counts.argmax(axis=1)
 
     cuts: list[float] = []
-    stack = [(0, len(group_values))]
+    stack = [(0, n_groups)]
     while stack:
         lo, hi = stack.pop()
         if hi - lo < 2:
             continue
-        block = group_counts[lo:hi]
-        total = block.sum(axis=0)
-        n = total.sum()
         # Candidate cut after group position p (between p and p+1).
         if candidates == "boundary":
             same_pure = (
@@ -102,31 +106,30 @@ def mdlp_cuts(values, labels, candidates: str = "boundary") -> list[float]:
                 & group_pure[lo + 1 : hi]
                 & (group_class[lo : hi - 1] == group_class[lo + 1 : hi])
             )
-            mask = ~same_pure
+            cand = np.flatnonzero(~same_pure)
         else:
-            mask = np.ones(hi - lo - 1, dtype=bool)
-        if not mask.any():
+            cand = np.arange(hi - lo - 1)
+        if not cand.size:
             continue
 
-        left = np.cumsum(block, axis=0)[:-1]
+        total = prefix[hi] - prefix[lo]
+        n = total.sum()
+        left = prefix[lo + 1 + cand] - prefix[lo]
         right = total[None, :] - left
         n_left = left.sum(axis=1)
         n_right = n - n_left
-        h_left = _row_entropies(left)
-        h_right = _row_entropies(right)
+        h_left, h_right = _row_entropies(np.concatenate([left, right])).reshape(2, -1)
         child_entropy = (n_left * h_left + n_right * h_right) / n
 
-        cand = np.flatnonzero(mask)
-        best = cand[np.argmin(child_entropy[cand])]
+        b = int(np.argmin(child_entropy))
+        best = int(cand[b])
 
         h_parent = entropy(total)
-        gain = h_parent - child_entropy[best]
+        gain = h_parent - child_entropy[b]
         k = int((total > 0).sum())
-        k1 = int((left[best] > 0).sum())
-        k2 = int((right[best] > 0).sum())
-        delta = math.log2(3**k - 2) - (
-            k * h_parent - k1 * h_left[best] - k2 * h_right[best]
-        )
+        k1 = int((left[b] > 0).sum())
+        k2 = int((right[b] > 0).sum())
+        delta = math.log2(3**k - 2) - (k * h_parent - k1 * h_left[b] - k2 * h_right[b])
         if gain <= (math.log2(n - 1) + delta) / n:
             continue
 
@@ -203,10 +206,13 @@ def fit_discretizer(train: Dataset, candidates: str = "boundary") -> Discretizat
     """Fit MDL cut points for every continuous feature against the labels."""
     if len(train) == 0:
         raise ValueError("cannot fit a discretizer on an empty dataset")
-    _, y = np.unique(train.labels, return_inverse=True)
+    if candidates not in CANDIDATE_MODES:
+        raise ValueError(f"candidates must be one of {CANDIDATE_MODES}")
+    y, classes = encode(train.labels)
     cut_lists = []
     for idx in train.schema.continuous_indices:
-        cuts = mdlp_cuts(train.column(idx), y, candidates=candidates)
+        values = np.asarray(train.column(idx), dtype=float)
+        cuts = _mdlp_cuts(values, y, len(classes), candidates)
         cut_lists.append(CutPointList(idx, tuple(cuts)))
     return DiscretizationModel(schema=train.schema, cut_lists=tuple(cut_lists))
 

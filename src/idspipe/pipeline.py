@@ -132,15 +132,25 @@ def load_model_payload(payload: dict):
 
     Plain naive Bayes is stored as a one-round ensemble; a bare naive Bayes
     payload (no ``rounds``) from before that is read as one round with vote 1.
+    A missing key or a field of the wrong shape raises :class:`DataError`.
     """
-    kind = payload["type"]
-    if kind not in ("nb", "adaboost-nb"):
-        raise ValueError(f"unknown model type {kind!r}")
-    model = payload["model"]
-    if "rounds" not in model:
-        model = {"labels": model["labels"], "rounds": [{"vote_weight": 1.0, "model": model}]}
-    features = [int(i) for i in payload["features"]]
-    return kind, classify.EnsembleModel.from_payload(model), features
+    try:
+        kind = payload["type"]
+        if kind not in ("nb", "adaboost-nb"):
+            raise DataError(f"unknown model type {kind!r}")
+        features = payload["features"]
+        if not isinstance(features, list):
+            raise DataError(
+                f"model.json field 'features' must be a list, not {type(features).__name__}"
+            )
+        model = payload["model"]
+        if "rounds" not in model:
+            model = {"labels": model["labels"], "rounds": [{"vote_weight": 1.0, "model": model}]}
+        return kind, classify.EnsembleModel.from_payload(model), [int(i) for i in features]
+    except KeyError as exc:
+        raise DataError(f"model.json is missing key {exc.args[0]!r}") from exc
+    except TypeError as exc:
+        raise DataError(f"malformed model.json: {exc}") from exc
 
 
 def _write_json(path: Path, payload) -> None:

@@ -112,8 +112,14 @@ def gain_ratio(x, y) -> float:
     return _gain_ratio_from_table(ContingencyTable.from_columns(x, y))
 
 
+def _su_value(ha: float, hb: float, h_joint: float) -> float:
+    """2*(H(A)+H(B)-H(A,B))/(H(A)+H(B)), clamped to [0, 1]."""
+    su = 2.0 * (ha + hb - h_joint) / (ha + hb)
+    return min(1.0, max(0.0, su))
+
+
 def _su_from_table(table: ContingencyTable) -> float:
-    """Symmetrical uncertainty via 2*(H(A)+H(B)-H(A,B))/(H(A)+H(B)).
+    """Symmetrical uncertainty of a table; zero if either marginal is constant.
 
     The joint entropy sums counts in sorted order, so the result is
     bit-identical under transposition of the table.
@@ -123,9 +129,7 @@ def _su_from_table(table: ContingencyTable) -> float:
     if ha == 0.0 or hb == 0.0:
         return 0.0
     joint = np.sort(table.counts.ravel())
-    h_joint = entropy(joint[joint > 0])
-    su = 2.0 * (ha + hb - h_joint) / (ha + hb)
-    return min(1.0, max(0.0, su))
+    return _su_value(ha, hb, entropy(joint[joint > 0]))
 
 
 def symmetrical_uncertainty(a, b) -> float:
@@ -134,10 +138,12 @@ def symmetrical_uncertainty(a, b) -> float:
 
 
 class CorrelationCache:
-    """Memoized symmetrical-uncertainty correlations for one discrete dataset.
+    """Symmetrical-uncertainty correlations for one discrete dataset.
 
-    Feature-class and feature-feature entries are computed on first use and
-    shared across search steps; entries are symmetric and lie in [0, 1].
+    Feature-class values are computed when the cache is built. Feature-feature
+    values live in a dense table indexed by 1-based feature numbers, filled
+    one row at a time by :meth:`su_arrays` or one entry at a time by
+    :meth:`feature_feature`; entries are symmetric and lie in [0, 1].
     """
 
     def __init__(self, ds: Dataset):
@@ -146,52 +152,57 @@ class CorrelationCache:
             raise ValueError("cannot correlate an empty dataset")
         self.n_features = len(ds.schema)
         coding = ds.coding()
-        self._codes = coding.columns
-        self._cards = [len(v) for v in coding.vocabs]
-        self._ycodes, self._ycard = coding.labels, len(coding.label_vocab)
-        self._entropies: dict[int, float] = {}
-        self._cf: dict[int, float] = {}
-        self._ff: dict[tuple[int, int], float] = {}
+        self._codes = (None,) + coding.columns
+        self._cards = (0,) + tuple(len(v) for v in coding.vocabs)
+        # Marginal entropies from the same bincount as a contingency table's
+        # row totals, so each is bitwise equal to entropy(table.row_totals).
+        self._h = [0.0] + [
+            entropy(np.bincount(c, minlength=n))
+            for c, n in zip(self._codes[1:], self._cards[1:])
+        ]
+        ncls = len(coding.label_vocab)
+        hy = entropy(np.bincount(coding.labels, minlength=ncls))
+        self._class_su = np.array(
+            [0.0]
+            + [
+                self._su(self._codes[i], self._h[i], coding.labels, ncls, hy)
+                for i in range(1, self.n_features + 1)
+            ]
+        )
+        self._ff = np.full((self.n_features + 1, self.n_features + 1), np.nan)
+        self._ff[0, :] = self._ff[:, 0] = 0.0  # no feature 0
+        np.fill_diagonal(self._ff, [1.0 if h > 0 else 0.0 for h in self._h])
 
-    def _entropy_of(self, i: int) -> float:
-        if i not in self._entropies:
-            counts = np.bincount(self._codes[i - 1], minlength=self._cards[i - 1])
-            self._entropies[i] = entropy(counts)
-        return self._entropies[i]
-
-    def _su_from_codes(self, xc, nx, yc, ny, hx, hy) -> float:
+    @staticmethod
+    def _su(xc, hx: float, yc, ny: int, hy: float) -> float:
+        """SU of two code arrays with known marginal entropies; ``ny`` codes ``yc``."""
         if hx == 0.0 or hy == 0.0:
             return 0.0
-        return _su_from_table(ContingencyTable.from_codes(xc, nx, yc, ny))
+        joint = np.bincount(xc * ny + yc)
+        return _su_value(hx, hy, entropy(np.sort(joint[joint > 0])))
+
+    def _pair(self, i: int, j: int) -> float:
+        su = self._su(self._codes[i], self._h[i], self._codes[j], self._cards[j], self._h[j])
+        self._ff[i, j] = self._ff[j, i] = su
+        return su
 
     def feature_class(self, i: int) -> float:
-        if i not in self._cf:
-            hy = entropy(np.bincount(self._ycodes, minlength=self._ycard))
-            self._cf[i] = self._su_from_codes(
-                self._codes[i - 1],
-                self._cards[i - 1],
-                self._ycodes,
-                self._ycard,
-                self._entropy_of(i),
-                hy,
-            )
-        return self._cf[i]
+        return float(self._class_su[i])
 
     def feature_feature(self, i: int, j: int) -> float:
-        if i == j:
-            return 1.0 if self._entropy_of(i) > 0 else 0.0
-        key = (min(i, j), max(i, j))
-        if key not in self._ff:
-            a, b = key
-            self._ff[key] = self._su_from_codes(
-                self._codes[a - 1],
-                self._cards[a - 1],
-                self._codes[b - 1],
-                self._cards[b - 1],
-                self._entropy_of(a),
-                self._entropy_of(b),
-            )
-        return self._ff[key]
+        su = self._ff[i, j]
+        return self._pair(i, j) if np.isnan(su) else float(su)
+
+    def su_arrays(self, members: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
+        """Feature-class vector and feature-feature table, rows of ``members`` filled.
+
+        Both are indexed by 1-based feature number and are the cache's own
+        arrays, not copies.
+        """
+        for i in members:
+            for j in np.flatnonzero(np.isnan(self._ff[i])).tolist():
+                self._pair(i, j)
+        return self._class_su, self._ff
 
 
 @dataclass(frozen=True)
@@ -225,23 +236,57 @@ class RankedFeatures:
         return tuple(i for i, _ in self.entries)
 
 
+def _sum_left_to_right(values) -> float:
+    # builtin sum() compensates its rounding on Python >= 3.12
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def cfs_merit(subset, cache) -> float:
     """CFS merit k*rcf / sqrt(k + k(k-1)*rff) of a feature subset.
 
     ``subset`` may be a FeatureSubset or an iterable of 1-based indices;
     ``cache`` is anything exposing feature_class(i) and feature_feature(i, j).
-    The result is bit-identical under permutation of the members.
+    Correlations are added left to right over the sorted members and their
+    pairs in ``combinations`` order, so the result is bit-identical under
+    permutation of the members.
     """
     indices = sorted(subset.indices if isinstance(subset, FeatureSubset) else subset)
     k = len(indices)
     if k == 0:
         return 0.0
-    rcf = sum(cache.feature_class(i) for i in indices) / k
+    rcf = _sum_left_to_right(cache.feature_class(i) for i in indices) / k
     if k == 1:
         return rcf
     pairs = list(combinations(indices, 2))
-    rff = sum(cache.feature_feature(i, j) for i, j in pairs) / len(pairs)
+    rff = _sum_left_to_right(cache.feature_feature(i, j) for i, j in pairs) / len(pairs)
     return k * rcf / math.sqrt(k + k * (k - 1) * rff)
+
+
+def _extension_merits(cache, base, candidates) -> list[float]:
+    """``cfs_merit(base + [i], cache)`` for every candidate ``i``, bit for bit.
+
+    ``cache`` exposes ``su_arrays(base)``. Each candidate subset's
+    correlations are added left to right (the last column of ``np.cumsum``)
+    over its sorted members and over its pairs in ``combinations`` order
+    (``np.triu_indices``), exactly as cfs_merit adds them; ``np.sum`` adds
+    pairwise and would change the low bits.
+    """
+    cands = np.asarray(candidates, dtype=np.int64)
+    if cands.size == 0:
+        return []
+    class_su, table = cache.su_arrays(base)
+    k = len(base) + 1
+    members = np.tile(np.asarray(base, dtype=np.int64), (cands.size, 1))
+    members = np.sort(np.concatenate([members, cands[:, None]], axis=1), axis=1)
+    rcf = np.cumsum(class_su[members], axis=1)[:, -1] / k
+    if k == 1:
+        return rcf.tolist()
+    a, b = np.triu_indices(k, 1)
+    rff = np.cumsum(table[members[:, a], members[:, b]], axis=1)[:, -1] / len(a)
+    return (k * rcf / np.sqrt(k + k * (k - 1) * rff)).tolist()
 
 
 def _greedy_path(cache: CorrelationCache) -> list[tuple[int, float]]:
@@ -251,18 +296,13 @@ def _greedy_path(cache: CorrelationCache) -> list[tuple[int, float]]:
     remaining = list(range(1, cache.n_features + 1))
     path: list[tuple[int, float]] = []
     while remaining:
-        best_i = None
-        best_merit = -math.inf
-        for i in remaining:
-            m = cfs_merit(current + [i], cache)
-            if m > best_merit:
-                best_i, best_merit = i, m
-        if best_merit <= current_merit:
+        merits = _extension_merits(cache, current, remaining)
+        best = int(np.argmax(merits))  # the first maximum: ties go to the smallest index
+        if merits[best] <= current_merit:
             break
-        current.append(best_i)
-        remaining.remove(best_i)
-        current_merit = best_merit
-        path.append((best_i, best_merit))
+        current.append(remaining.pop(best))
+        current_merit = merits[best]
+        path.append((current[-1], current_merit))
     return path
 
 
@@ -305,6 +345,7 @@ def best_first_search(
             if stale >= stale_limit:
                 break
         members = set(subset)
+        candidates, children = [], []
         for i in range(1, cache.n_features + 1):
             if i in members:
                 continue
@@ -312,7 +353,10 @@ def best_first_search(
             if child in visited:
                 continue
             visited.add(child)
-            heapq.heappush(heap, (-cfs_merit(child, cache), child))
+            candidates.append(i)
+            children.append(child)
+        for child, child_merit in zip(children, _extension_merits(cache, subset, candidates)):
+            heapq.heappush(heap, (-child_merit, child))
     return FeatureSubset(indices=best_subset, merit=best_merit)
 
 

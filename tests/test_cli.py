@@ -165,6 +165,33 @@ class TestStageFailures:
         assert err.startswith(f"error: stage {stage}: ")
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "payload, named",
+        [
+            ({}, "'type'"),
+            (
+                {"type": "nb", "features": [1], "model": {"labels": ["a"], "rounds": [
+                    {"vote_weight": 1.0, "model": {"labels": ["a"], "priors": [0.0],
+                                                   "features": [{"values": [0], "cond": [[0.0]]}]}},
+                ]}},
+                "'smoothing'",
+            ),
+            ({"type": "nb", "features": 5, "model": {}}, "'features'"),
+        ],
+        ids=["empty", "round-without-smoothing", "features-not-a-list"],
+    )
+    def test_malformed_model_is_a_data_error(self, raw_csv, tmp_path, capsys, payload, named):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(payload))
+        capsys.readouterr()
+        code = run_cli("eval", raw_csv, "--model", model, "--out", tmp_path / "r.json")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: stage eval: ")
+        assert named in err
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+
 
 class TestModelArtifact:
     @pytest.mark.parametrize("boost", ["--boost", "--no-boost"])

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from idspipe.data import CONTINUOUS, DISCRETE
 from idspipe.discretize import (
+    CANDIDATE_MODES,
     CutPointList,
     DiscretizationModel,
     apply_discretizer,
@@ -72,6 +73,88 @@ mdlp_arrays = st.integers(1, 50).flatmap(
         st.lists(st.sampled_from("abc"), min_size=n, max_size=n),
     )
 )
+
+
+# --- reference MDLP loop: np.add.at counts, one cumsum per block ------------
+
+def reference_row_entropies(counts):
+    totals = counts.sum(axis=1, keepdims=True)
+    safe = np.where(totals > 0, totals, 1.0)
+    p = counts / safe
+    terms = np.where(counts > 0, p * np.log2(np.where(counts > 0, p, 1.0)), 0.0)
+    return -terms.sum(axis=1)
+
+
+def reference_mdlp_cuts(values, labels, candidates="boundary"):
+    values = np.asarray(values, dtype=float)
+    labels = np.asarray(labels)
+    if values.size == 0:
+        return []
+    _, y = np.unique(labels, return_inverse=True)
+    n_classes = int(y.max()) + 1
+    order = np.argsort(values, kind="stable")
+    v_sorted = values[order]
+    y_sorted = y[order]
+    group_starts = np.flatnonzero(np.concatenate(([True], np.diff(v_sorted) > 0)))
+    group_values = v_sorted[group_starts]
+    group_id = np.cumsum(np.concatenate(([0], (np.diff(v_sorted) > 0).astype(int))))
+    group_counts = np.zeros((len(group_values), n_classes), dtype=float)
+    np.add.at(group_counts, (group_id, y_sorted), 1.0)
+    group_pure = (group_counts > 0).sum(axis=1) == 1
+    group_class = group_counts.argmax(axis=1)
+    cuts = []
+    stack = [(0, len(group_values))]
+    while stack:
+        lo, hi = stack.pop()
+        if hi - lo < 2:
+            continue
+        block = group_counts[lo:hi]
+        total = block.sum(axis=0)
+        n = total.sum()
+        if candidates == "boundary":
+            mask = ~(
+                group_pure[lo : hi - 1]
+                & group_pure[lo + 1 : hi]
+                & (group_class[lo : hi - 1] == group_class[lo + 1 : hi])
+            )
+        else:
+            mask = np.ones(hi - lo - 1, dtype=bool)
+        if not mask.any():
+            continue
+        left = np.cumsum(block, axis=0)[:-1]
+        right = total[None, :] - left
+        n_left = left.sum(axis=1)
+        n_right = n - n_left
+        h_left = reference_row_entropies(left)
+        h_right = reference_row_entropies(right)
+        child_entropy = (n_left * h_left + n_right * h_right) / n
+        cand = np.flatnonzero(mask)
+        best = cand[np.argmin(child_entropy[cand])]
+        h_parent = entropy(total)
+        gain = h_parent - child_entropy[best]
+        k = int((total > 0).sum())
+        k1 = int((left[best] > 0).sum())
+        k2 = int((right[best] > 0).sum())
+        delta = math.log2(3**k - 2) - (k * h_parent - k1 * h_left[best] - k2 * h_right[best])
+        if gain <= (math.log2(n - 1) + delta) / n:
+            continue
+        cuts.append(float((group_values[lo + best] + group_values[lo + best + 1]) / 2))
+        stack.append((lo, lo + best + 1))
+        stack.append((lo + best + 1, hi))
+    return sorted(cuts)
+
+
+@st.composite
+def tied_class_columns(draw):
+    """A class-dependent value column with heavy ties, 2 to 23 classes."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_classes = draw(st.integers(2, 23))
+    n = draw(st.integers(2, 400))
+    y = rng.integers(0, n_classes, size=n)
+    spread = draw(st.sampled_from([0.5, 1.0, 3.0]))
+    noise = rng.integers(0, draw(st.integers(1, 6)), size=n)
+    values = np.round((y * spread + noise) * draw(st.sampled_from([1.0, 0.1, 1 / 3])), 3)
+    return values.tolist(), [f"class{v}" for v in y]
 
 
 class TestEntropy:
@@ -160,6 +243,14 @@ class TestMdlpCuts:
         values, labels = arrays
         assert mdlp_cuts(values, labels) == mdlp_cuts(values, labels, candidates="all")
 
+    @given(tied_class_columns(), st.sampled_from(CANDIDATE_MODES))
+    @settings(max_examples=200, deadline=None)
+    def test_bit_identical_to_reference_loop(self, column, candidates):
+        values, labels = column
+        cuts = mdlp_cuts(values, labels, candidates=candidates)
+        expected = reference_mdlp_cuts(values, labels, candidates)
+        assert [c.hex() for c in cuts] == [c.hex() for c in expected]
+
     @given(mdlp_arrays)
     @settings(max_examples=100, deadline=None)
     def test_boundary_point_property(self, arrays):
@@ -220,6 +311,20 @@ class TestFitApply:
         labels = ["ab"[v] for v in rng.integers(0, 2, size=40)]
         ds = toy_dataset([vals], labels, kinds=self.kinds(1))
         assert fit_discretizer(ds).cut_lists == fit_discretizer(ds).cut_lists
+
+    @given(st.lists(tied_class_columns(), min_size=1, max_size=4), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_cuts_equal_per_column_mdlp_cuts(self, columns, data):
+        n = min(len(values) for values, _ in columns)
+        labels = columns[0][1][:n]
+        ds = toy_dataset(
+            [values[:n] for values, _ in columns], labels, kinds=self.kinds(len(columns))
+        )
+        candidates = data.draw(st.sampled_from(CANDIDATE_MODES))
+        model = fit_discretizer(ds, candidates=candidates)
+        for idx, (values, _) in enumerate(columns, start=1):
+            expected = mdlp_cuts(values[:n], labels, candidates=candidates)
+            assert [c.hex() for c in model.cuts_for(idx).cuts] == [c.hex() for c in expected]
 
     def test_apply_bins_and_passthrough(self):
         ds = toy_dataset(

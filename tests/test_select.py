@@ -1,3 +1,4 @@
+import heapq
 import math
 from collections import Counter
 from itertools import combinations
@@ -15,6 +16,7 @@ from idspipe.select import (
     FeatureSubset,
     RankedFeatures,
     SelectionResult,
+    _extension_merits,
     _greedy_path,
     best_first_search,
     cfs_merit,
@@ -66,6 +68,15 @@ class FixedCache:
 
     def feature_feature(self, i, j):
         return self.ff[min(i, j), max(i, j)]
+
+    def su_arrays(self, members):
+        n = 1 + max([*self.cf, *(j for pair in self.ff for j in pair)], default=0)
+        class_su, table = np.zeros(n), np.full((n, n), np.nan)
+        for i, v in self.cf.items():
+            class_su[i] = v
+        for (i, j), v in self.ff.items():
+            table[i, j] = table[j, i] = v
+        return class_su, table
 
 
 columns_pairs = st.integers(2, 30).flatmap(
@@ -201,6 +212,134 @@ def random_discrete_dataset(seed):
     cols = [rng.integers(0, 3, size=n).tolist() for _ in range(f)]
     labels = ["ab"[v] for v in rng.integers(0, 2, size=n)]
     return toy_dataset(cols, labels)
+
+
+# --- reference search loops: one cfs_merit call per candidate ---------------
+
+def reference_greedy_path(cache):
+    current, current_merit = [], 0.0
+    remaining = list(range(1, cache.n_features + 1))
+    path = []
+    while remaining:
+        best_i, best_merit = None, -math.inf
+        for i in remaining:
+            m = cfs_merit(current + [i], cache)
+            if m > best_merit:
+                best_i, best_merit = i, m
+        if best_merit <= current_merit:
+            break
+        current.append(best_i)
+        remaining.remove(best_i)
+        current_merit = best_merit
+        path.append((best_i, best_merit))
+    return path
+
+
+def reference_best_first(cache, stale_limit=BEST_FIRST_STALE_LIMIT):
+    heap, visited = [(0.0, ())], {()}
+    best_subset, best_merit, stale = (), 0.0, 0
+    while heap:
+        neg_merit, subset = heapq.heappop(heap)
+        if -neg_merit > best_merit:
+            best_subset, best_merit, stale = subset, -neg_merit, 0
+        else:
+            stale += 1
+            if stale >= stale_limit:
+                break
+        members = set(subset)
+        for i in range(1, cache.n_features + 1):
+            if i in members:
+                continue
+            child = tuple(sorted(members | {i}))
+            if child in visited:
+                continue
+            visited.add(child)
+            heapq.heappush(heap, (-cfs_merit(child, cache), child))
+    return best_subset, best_merit
+
+
+@st.composite
+def tied_discrete_datasets(draw):
+    """Small discrete datasets with constant and duplicated columns (ties)."""
+    n = draw(st.integers(2, 30))
+    cell = st.sampled_from("012")
+    columns = []
+    for _ in range(draw(st.integers(1, 7))):
+        kind = draw(st.sampled_from(["random", "constant", "duplicate"]))
+        if kind == "constant":
+            columns.append([draw(cell)] * n)
+        elif kind == "duplicate" and columns:
+            columns.append(list(draw(st.sampled_from(columns))))
+        else:
+            columns.append(draw(st.lists(cell, min_size=n, max_size=n)))
+    labels = draw(st.lists(st.sampled_from("abc"), min_size=n, max_size=n))
+    return toy_dataset(columns, labels)
+
+
+def hexes(merits):
+    return [float(m).hex() for m in merits]
+
+
+class TestExtensionMerits:
+    @given(ds=tied_discrete_datasets(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_bit_identical_to_cfs_merit_on_datasets(self, ds, data):
+        n = len(ds.schema)
+        base = data.draw(st.permutations(range(1, n + 1)))[: data.draw(st.integers(0, n - 1))]
+        candidates = [i for i in range(1, n + 1) if i not in base]
+        # the reference reads single entries from a fresh cache, the merit
+        # step fills whole rows of another one
+        expected = [cfs_merit(base + [i], CorrelationCache(ds)) for i in candidates]
+        got = _extension_merits(CorrelationCache(ds), base, candidates)
+        assert all(type(m) is float for m in got)
+        assert hexes(got) == hexes(expected)
+
+    @given(k=st.integers(1, 12), seed=st.integers(0, 10_000), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_bit_identical_to_cfs_merit_on_fixed_cache(self, k, seed, data):
+        rng = np.random.default_rng(seed)
+        indices = list(range(1, k + 1))
+        cache = FixedCache(
+            {i: float(rng.uniform(0, 1)) for i in indices},
+            {(i, j): float(rng.uniform(0, 1)) for i, j in combinations(indices, 2)},
+        )
+        base = data.draw(st.permutations(indices))[: data.draw(st.integers(0, k - 1))]
+        candidates = [i for i in indices if i not in base]
+        expected = [cfs_merit(base + [i], cache) for i in candidates]
+        assert hexes(_extension_merits(cache, base, candidates)) == hexes(expected)
+
+    def test_no_candidates(self):
+        assert _extension_merits(CorrelationCache(planted_dataset(0)), [1], []) == []
+
+    @given(ds=tied_discrete_datasets())
+    @settings(max_examples=150, deadline=None)
+    def test_searches_equal_reference_loops(self, ds):
+        path = _greedy_path(CorrelationCache(ds))
+        expected = reference_greedy_path(CorrelationCache(ds))
+        assert [i for i, _ in path] == [i for i, _ in expected]
+        assert hexes(m for _, m in path) == hexes(m for _, m in expected)
+        best = best_first_search(ds, CorrelationCache(ds))
+        subset, merit = reference_best_first(CorrelationCache(ds))
+        assert best.indices == subset
+        assert best.merit.hex() == float(merit).hex()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_searches_equal_reference_loops_on_long_paths(self, seed):
+        # noisy copies of the class: the greedy path runs many steps
+        rng = np.random.default_rng(seed)
+        y = rng.integers(0, 3, size=300)
+        columns = [
+            np.where(rng.random(300) < rng.uniform(0.2, 0.9), y, rng.integers(0, 4, size=300))
+            for _ in range(14)
+        ]
+        ds = toy_dataset([c.tolist() for c in columns], ["abc"[v] for v in y])
+        path = _greedy_path(CorrelationCache(ds))
+        expected = reference_greedy_path(CorrelationCache(ds))
+        assert len(path) > 3
+        assert [(i, m.hex()) for i, m in path] == [(i, m.hex()) for i, m in expected]
+        best = best_first_search(ds, CorrelationCache(ds))
+        subset, merit = reference_best_first(CorrelationCache(ds))
+        assert (best.indices, best.merit.hex()) == (subset, merit.hex())
 
 
 class TestGreedySearch:
