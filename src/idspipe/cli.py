@@ -154,9 +154,11 @@ def train_cmd(dataset_path, selection_path, boost, rounds, smoothing, out):
 def eval_cmd(dataset_path, model_path, out):
     """Evaluate a trained model on a held-out discrete dataset."""
     ds = data.read_dataset(_resolve_input(dataset_path))
-    kind, model, features = load_model_payload(
-        json.loads(Path(model_path).read_text())
-    )
+    try:
+        payload = json.loads(Path(model_path).read_text())
+    except json.JSONDecodeError as exc:
+        raise DataError(f"model file {model_path} is not valid JSON: {exc}") from exc
+    kind, model, features = load_model_payload(payload)
     codes = classify.ensemble_predict_batch(model, ds.project(features))
     preds = np.asarray(model.labels, dtype=object)[codes]
     label_set = sorted(set(model.labels) | set(ds.labels.tolist()))

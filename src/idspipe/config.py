@@ -122,6 +122,8 @@ class PipelineConfig:
     @classmethod
     def from_payload(cls, payload: Mapping) -> "PipelineConfig":
         data = dict(payload)
+        if "input_path" not in data:
+            raise ValueError("missing key 'input_path'")
         sample = data.get("sample")
         experiment = data.get("experiment", {}) or {}
         return cls(

@@ -326,11 +326,15 @@ class Dataset:
     def coding(self) -> Coding:
         """Integer coding of all columns and the labels, computed once.
 
-        Subsets, projections and reweightings of a coded dataset slice its
-        codes instead of encoding their columns again.
+        Continuous columns are coded by numeric value, so their vocabularies
+        ascend. Subsets, projections, reweightings and recodings of a coded
+        dataset carry its codes instead of encoding their columns again.
         """
         if self._coding is None:
-            columns = [encode(col) for col in self.columns]
+            columns = [
+                encode(col.astype(float, copy=False) if kind == CONTINUOUS else col)
+                for col, (_, kind) in zip(self.columns, self.schema.features)
+            ]
             labels, label_vocab = encode(self.labels)
             self._coding = Coding(
                 tuple(c for c, _ in columns), tuple(v for _, v in columns), labels, label_vocab
@@ -372,6 +376,28 @@ class Dataset:
 
     def with_weights(self, weights) -> "Dataset":
         return self._derive(self._coding, weights=np.asarray(weights, dtype=float))
+
+    def recode(
+        self, schema: FeatureSchema, coded: Mapping[int, tuple[np.ndarray, tuple]]
+    ) -> "Dataset":
+        """Replace 1-based columns by integer codes over the given vocabularies.
+
+        ``coded[i] = (codes, vocab)`` makes ``codes`` column i, with values
+        ``vocab[codes]``; a vocabulary may hold values no record takes. A
+        coded dataset keeps its coding with those columns swapped in.
+        """
+        columns = list(self.columns)
+        for i, (codes, _) in coded.items():
+            columns[i - 1] = codes
+        coding = None
+        if self._coding is not None:
+            code_columns, vocabs = list(self._coding.columns), list(self._coding.vocabs)
+            for i, (codes, vocab) in coded.items():
+                code_columns[i - 1], vocabs[i - 1] = codes, vocab
+            coding = Coding(
+                tuple(code_columns), tuple(vocabs), self._coding.labels, self._coding.label_vocab
+            )
+        return self._derive(coding, schema=schema, columns=tuple(columns))
 
     @classmethod
     def from_records(

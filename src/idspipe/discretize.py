@@ -68,25 +68,28 @@ def mdlp_cuts(values, labels, candidates: str = "boundary") -> list[float]:
         raise ValueError("values and labels must have the same length")
     if values.size == 0:
         return []
+    codes, vocab = encode(values)
     y, classes = encode(labels)
-    return _mdlp_cuts(values, y, len(classes), candidates)
+    return _mdlp_cuts(codes, np.asarray(vocab, dtype=float), y, len(classes), candidates)
 
 
-def _mdlp_cuts(values: np.ndarray, y: np.ndarray, n_classes: int, candidates: str) -> list[float]:
-    """:func:`mdlp_cuts` of non-empty float ``values`` and class codes ``y < n_classes``."""
-    order = np.argsort(values, kind="stable")
-    v_sorted = values[order]
+def _mdlp_cuts(
+    codes: np.ndarray, vocab: np.ndarray, y: np.ndarray, n_classes: int, candidates: str
+) -> list[float]:
+    """:func:`mdlp_cuts` of one feature coded over an ascending vocabulary.
 
-    # Collapse to distinct-value groups with per-group class counts, and
-    # prefix[g] = class counts of the groups before g. Counts are integers
-    # held in floats, so differences of prefix rows are exact.
-    new_group = np.diff(v_sorted) > 0
-    group_values = v_sorted[np.flatnonzero(np.concatenate(([True], new_group)))]
+    ``vocab[codes]`` are the values (at least one), ``y < n_classes`` the
+    class codes. Vocabulary values no record takes are dropped.
+    """
+    # Distinct-value groups with per-group class counts, and prefix[g] =
+    # class counts of the groups before g. Counts are integers held in
+    # floats, so differences of prefix rows are exact.
+    counts = np.bincount(codes * n_classes + y, minlength=len(vocab) * n_classes)
+    counts = counts.reshape(len(vocab), n_classes)
+    present = counts.any(axis=1)
+    group_values = vocab[present]
+    group_counts = counts[present].astype(float)
     n_groups = len(group_values)
-    group_id = np.concatenate(([0], np.cumsum(new_group)))
-    group_counts = np.bincount(
-        group_id * n_classes + y[order], minlength=n_groups * n_classes
-    ).reshape(n_groups, n_classes).astype(float)
     prefix = np.zeros((n_groups + 1, n_classes))
     np.cumsum(group_counts, axis=0, out=prefix[1:])
 
@@ -208,28 +211,32 @@ def fit_discretizer(train: Dataset, candidates: str = "boundary") -> Discretizat
         raise ValueError("cannot fit a discretizer on an empty dataset")
     if candidates not in CANDIDATE_MODES:
         raise ValueError(f"candidates must be one of {CANDIDATE_MODES}")
-    y, classes = encode(train.labels)
+    coding = train.coding()
+    # Class codes over the classes of the training rows only, as
+    # encode(train.labels) gives them: a class column of zeros would change
+    # the low bits of the MDLP entropy sums.
+    present = np.bincount(coding.labels, minlength=len(coding.label_vocab)) > 0
+    y = (np.cumsum(present) - 1)[coding.labels]
+    n_classes = int(present.sum())
     cut_lists = []
     for idx in train.schema.continuous_indices:
-        values = np.asarray(train.column(idx), dtype=float)
-        cuts = _mdlp_cuts(values, y, len(classes), candidates)
+        vocab = np.asarray(coding.vocabs[idx - 1], dtype=float)
+        cuts = _mdlp_cuts(coding.columns[idx - 1], vocab, y, n_classes, candidates)
         cut_lists.append(CutPointList(idx, tuple(cuts)))
     return DiscretizationModel(schema=train.schema, cut_lists=tuple(cut_lists))
 
 
 def apply_discretizer(model: DiscretizationModel, ds: Dataset) -> Dataset:
-    """Replace continuous values by bin indices; output is fully discrete."""
+    """Replace continuous values by bin indices; output is fully discrete.
+
+    The bins are the codes of a binned column, over the vocabulary of every
+    bin number, so a coded ``ds`` passes its coding on without encoding.
+    """
     if ds.schema != model.schema:
         raise SchemaError("dataset schema does not match the discretization model")
-    columns = list(ds.columns)
+    binned = {}
     for cpl in model.cut_lists:
         col = ds.column(cpl.feature_index).astype(float)
-        bins = np.searchsorted(np.asarray(cpl.cuts), col, side="right")
-        columns[cpl.feature_index - 1] = bins.astype(np.int64)
-    return Dataset(
-        schema=ds.schema.all_discrete(),
-        columns=tuple(columns),
-        labels=ds.labels,
-        weights=ds.weights,
-        granularity=ds.granularity,
-    )
+        bins = np.searchsorted(np.asarray(cpl.cuts), col, side="right").astype(np.int64)
+        binned[cpl.feature_index] = (bins, tuple(range(cpl.n_bins)))
+    return ds.recode(ds.schema.all_discrete(), binned)

@@ -316,6 +316,7 @@ def cross_validate_plan(
             "features": list(selection.subset.indices),
         }
     elif config.discretization == "fold-safe":
+        ds.coding()  # coded once; every fold's fits and transforms slice these codes
         for fold in range(plan.k):
             train_idx = plan.train_indices(fold)
             test_idx = plan.test_indices(fold)

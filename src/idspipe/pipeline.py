@@ -61,7 +61,10 @@ def _ingest(input_path: str) -> Dataset:
     if not path.exists():
         raise FileNotFoundError(f"input file not found: {path}")
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_records(fh)
+        ds = parse_records(fh)
+    if len(ds) == 0:
+        raise DataError(f"no records in {path}")
+    return ds
 
 
 @_stage("sample")

@@ -179,7 +179,11 @@ class CorrelationCache:
         if hx == 0.0 or hy == 0.0:
             return 0.0
         joint = np.bincount(xc * ny + yc)
-        return _su_value(hx, hy, entropy(np.sort(joint[joint > 0])))
+        # entropy() of the sorted positive counts, without its input checks:
+        # the same float counts, total, p and sum, so the same bits
+        c = np.sort(joint[joint > 0]).astype(float)
+        p = c / c.sum()
+        return _su_value(hx, hy, float(-(p * np.log2(p)).sum()))
 
     def _pair(self, i: int, j: int) -> float:
         su = self._su(self._codes[i], self._h[i], self._codes[j], self._cards[j], self._h[j])

@@ -193,6 +193,47 @@ class TestStageFailures:
         assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["ingest", "{empty}", "--out", "{tmp}/x.csv"],
+            ["run", "--input", "{empty}", "--out", "{tmp}/o"],
+        ],
+        ids=["ingest", "run"],
+    )
+    def test_empty_input_fails_at_ingest(self, tmp_path, capsys, args):
+        empty = tmp_path / "empty.txt"
+        empty.write_text("\n")
+        capsys.readouterr()
+        code = run_cli(*[a.format(empty=empty, tmp=tmp_path) for a in args])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error: stage ingest: no records in {empty}\n"
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_model_that_is_not_json_is_named(self, raw_csv, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        model.write_text("not json\n")
+        capsys.readouterr()
+        code = run_cli("eval", raw_csv, "--model", model, "--out", tmp_path / "r.json")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: stage eval: model file {model} is not valid JSON: ")
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "text", ["[]\n", '{"granularity": "attack23"}\n'], ids=["list", "no-input"]
+    )
+    def test_config_without_input_path_names_the_key(self, tmp_path, capsys, text):
+        config = tmp_path / "config.json"
+        config.write_text(text)
+        capsys.readouterr()
+        code = run_cli("run", "--config", config, "--out", tmp_path / "o")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"invalid config file {config}: missing key 'input_path'" in err
+
+
 class TestModelArtifact:
     @pytest.mark.parametrize("boost", ["--boost", "--no-boost"])
     def test_run_model_evaluates_the_discretize_csv(self, small_synth, tmp_path, boost):

@@ -4,9 +4,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from idspipe.classify import train_classifier
 from idspipe.config import ClassifierConfig, ExperimentConfig, SelectionConfig
-from idspipe.data import CONTINUOUS, stratified_folds
+from idspipe.data import (
+    ATTACK_CATEGORY,
+    CONTINUOUS,
+    DISCRETE,
+    NORMAL,
+    Dataset,
+    stratified_folds,
+)
+from idspipe.discretize import apply_discretizer, fit_discretizer
 from idspipe.errors import UnknownLabelError
+from idspipe.select import SELECTION_METHODS, run_selection
 from idspipe.evaluate import (
     ConfusionMatrix,
     EvaluationReport,
@@ -246,3 +256,75 @@ class TestReportSerialization:
         assert "weighted" in table
         assert "a" in table and "b" in table
         assert "FPR" in table
+
+
+LABELS23 = sorted(ATTACK_CATEGORY) + [NORMAL]
+
+
+@st.composite
+def coded_training_folds(draw):
+    """A training fold of a coded dataset: mixed columns, some constant.
+
+    The fold slices the full dataset's coding, so its vocabularies may hold
+    values and classes (out of a subset of the 23 labels) that no row of the
+    fold takes; one class may be missing from the fold altogether.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(4, 150))
+    classes = rng.choice(LABELS23, size=draw(st.integers(2, 23)), replace=False)
+    y = rng.integers(0, len(classes), size=n)
+    kinds, columns = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        kinds.append(draw(st.sampled_from([CONTINUOUS, DISCRETE])))
+        noise = rng.integers(0, draw(st.integers(1, 6)), size=n)
+        if draw(st.integers(0, 3)) == 0:
+            noise, y_part = np.zeros(n, dtype=np.int64), 0  # a constant column
+        else:
+            y_part = y
+        if kinds[-1] == CONTINUOUS:
+            columns.append(np.round((y_part * 0.7 + noise) / 3, 3).tolist())
+        else:
+            columns.append([f"v{v}" for v in (y_part + noise) % 5])
+    ds = toy_dataset(columns, classes[y].tolist(), kinds=kinds)
+    ds.coding()
+    keep = rng.random(n) < draw(st.sampled_from([0.5, 0.8, 1.0]))
+    if draw(st.booleans()):
+        keep &= y != y[0]  # the fold misses a class
+    keep[rng.integers(0, n)] |= not keep.any()
+    return ds.subset(np.flatnonzero(keep))
+
+
+def uncoded(ds):
+    """The same records, with a coding that will be built from scratch."""
+    return Dataset(ds.schema, ds.columns, ds.labels, ds.weights, ds.granularity)
+
+
+class TestCarriedCoding:
+    @given(coded_training_folds(), st.sampled_from(SELECTION_METHODS), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_carried_coding_matches_a_fresh_one(self, fold, method, boost):
+        model = fit_discretizer(fold)
+        fresh_model = fit_discretizer(uncoded(fold))
+        assert [[c.hex() for c in cpl.cuts] for cpl in model.cut_lists] == [
+            [c.hex() for c in cpl.cuts] for cpl in fresh_model.cut_lists
+        ]
+
+        binned = apply_discretizer(model, fold)
+        coding = binned.coding()
+        for i, (codes, vocab) in enumerate(zip(coding.columns, coding.vocabs), 1):
+            assert [vocab[c] for c in codes] == binned.column(i).tolist()
+        for cpl in model.cut_lists:
+            assert coding.vocabs[cpl.feature_index - 1] == tuple(range(cpl.n_bins))
+
+        fresh = uncoded(binned)
+        selection = run_selection(binned, method, 0.3)
+        fresh_selection = run_selection(fresh, method, 0.3)
+        assert selection.to_json() == fresh_selection.to_json()
+        assert selection.subset.merit.hex() == fresh_selection.subset.merit.hex()
+
+        features = selection.subset.indices or (1,)
+        label_set = fold.coding().label_vocab
+        config = ClassifierConfig(boost=boost, rounds=3)
+        trained = train_classifier(binned.project(features), config, label_set)
+        retrained = train_classifier(fresh.project(features), config, label_set)
+        assert trained.to_json() == retrained.to_json()

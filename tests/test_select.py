@@ -152,6 +152,34 @@ class TestScoring:
         assert (t.counts >= 0).all()
 
 
+@st.composite
+def wide_discrete_datasets(draw):
+    """Discrete datasets with up to 15 values per column and 12 classes."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 300))
+    labels = [f"c{v}" for v in rng.integers(0, draw(st.integers(1, 12)), size=n)]
+    columns = [
+        rng.integers(0, draw(st.integers(1, 15)), size=n).tolist()
+        for _ in range(draw(st.integers(2, 5)))
+    ]
+    return toy_dataset(columns, labels)
+
+
+class TestCorrelationCache:
+    @given(wide_discrete_datasets())
+    @settings(max_examples=100, deadline=None)
+    def test_entries_bit_identical_to_symmetrical_uncertainty(self, ds):
+        cache = CorrelationCache(ds)
+        n = len(ds.schema)
+        for i in range(1, n + 1):
+            expected = symmetrical_uncertainty(ds.column(i), ds.labels)
+            assert cache.feature_class(i).hex() == expected.hex()
+            for j in range(1, n + 1):
+                if j != i:
+                    expected = symmetrical_uncertainty(ds.column(i), ds.column(j))
+                    assert cache.feature_feature(i, j).hex() == expected.hex()
+
+
 class TestCfsMerit:
     def test_singleton_equals_rcf(self):
         cache = FixedCache({7: 0.6}, {})

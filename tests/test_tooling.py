@@ -10,9 +10,9 @@ from pathlib import Path
 
 import numpy as np
 
-from idspipe import classify, cli, discretize, evaluate, select
+from idspipe import classify, cli, data, discretize, evaluate, select
 from idspipe.config import ClassifierConfig, ExperimentConfig
-from idspipe.data import CONTINUOUS, stratified_folds
+from idspipe.data import CONTINUOUS, DISCRETE, stratified_folds
 
 from conftest import toy_dataset
 
@@ -76,7 +76,7 @@ def count_calls(monkeypatch, module, attr, calls):
 def test_benchmark_spans_are_reached(monkeypatch):
     # select.greedy.s, select.cache_build.s and discretize.fit.s are read
     # through these names; an inlined call would zero them silently
-    selection_calls, fit_calls = [], []
+    selection_calls, fold_calls = [], []
     count_calls(monkeypatch, select, "greedy_forward_search", selection_calls)
 
     class CountedCache(select.CorrelationCache):
@@ -91,11 +91,37 @@ def test_benchmark_spans_are_reached(monkeypatch):
     select.run_selection(ds, "hybrid", 0.3)
     assert sorted(selection_calls) == ["CorrelationCache", "greedy_forward_search"]
 
-    count_calls(monkeypatch, discretize, "fit_discretizer", fit_calls)
+    # fold-safe CV: discretize.fit.s, discretize.apply.s and select.cache_build.s
+    count_calls(monkeypatch, discretize, "fit_discretizer", fold_calls)
+    count_calls(monkeypatch, discretize, "apply_discretizer", fold_calls)
+    selection_calls.clear()
     values = [float(i % 7) + (lbl == "a") * 5 for i, lbl in enumerate(labels)]
     raw = toy_dataset([values], labels, kinds=[CONTINUOUS])
     plan = stratified_folds(raw, 4, seed=0)
     evaluate.cross_validate_plan(
         raw, ExperimentConfig(discretization="fold-safe"), plan, seed=0
     )
-    assert fit_calls == ["fit_discretizer"] * plan.k
+    assert fold_calls.count("fit_discretizer") == plan.k
+    assert fold_calls.count("apply_discretizer") == 2 * plan.k  # training and test fold
+    assert selection_calls.count("CorrelationCache") == plan.k
+
+
+def test_fold_safe_cv_codes_each_column_once(monkeypatch):
+    # the folds slice one coding of the dataset; recoding per fold would
+    # call data.encode about k times per column
+    calls = []
+    count_calls(monkeypatch, data, "encode", calls)
+    rng = np.random.default_rng(1)
+    labels = ["abc"[v] for v in rng.integers(0, 3, size=60)]
+    shifted = (rng.normal(size=60) + [2.0 * "abc".index(lbl) for lbl in labels]).tolist()
+    ds = toy_dataset(
+        [list(labels), rng.integers(0, 4, size=60).tolist(), shifted, rng.normal(size=60)],
+        labels,
+        kinds=[DISCRETE, DISCRETE, CONTINUOUS, CONTINUOUS],
+    )
+    config = ExperimentConfig(discretization="fold-safe", classifier=ClassifierConfig(rounds=3))
+    k = 5
+    report = evaluate.cross_validate(ds, config, k=k, seed=0)
+    assert report.matrix.total == len(ds)
+    # once per column, plus label codes: at most one per fit (k fits)
+    assert len(calls) <= len(ds.schema) + k
