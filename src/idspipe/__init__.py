@@ -18,7 +18,6 @@ from .config import (
 from .classify import (
     EnsembleModel,
     NaiveBayesModel,
-    ensemble_predict,
     nb_predict,
     train_adaboost_m1,
     train_naive_bayes,
@@ -30,9 +29,7 @@ from .data import (
     FeatureSchema,
     FoldPlan,
     NSLKDD_SCHEMA,
-    Record,
     map_labels,
-    match_distribution,
     parse_records,
     reference_sample_counts,
     stratified_folds,
@@ -62,7 +59,6 @@ from .select import (
     cfs_merit,
     gain_ratio,
     greedy_forward_search,
-    hybrid_select,
     info_gain,
     rank_threshold,
     symmetrical_uncertainty,

@@ -8,7 +8,6 @@ which keeps every stored probability positive.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from itertools import compress
@@ -17,7 +16,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .config import ClassifierConfig
-from .data import Coding, Dataset, Record, check_discrete, vocab_lookup
+from .data import Coding, Dataset, check_discrete, vocab_lookup
 from .errors import SchemaError
 
 DEFAULT_SMOOTHING = 1.0
@@ -167,30 +166,15 @@ def _fit_naive_bayes(
     )
 
 
-def _record_dataset(r: Record, n_features: int) -> Dataset:
-    from .data import ATTACK23, DISCRETE, FeatureSchema
+def nb_predict(model: NaiveBayesModel, ds: Dataset) -> np.ndarray:
+    """Normalized posteriors (records x classes in ``model.labels`` order).
 
-    schema = FeatureSchema(tuple((f"f{i}", DISCRETE) for i in range(1, n_features + 1)))
-    columns = tuple(np.asarray([v], dtype=object) for v in r.values)
-    return Dataset(
-        schema=schema,
-        columns=columns,
-        labels=np.asarray([r.label], dtype=object),
-        weights=np.asarray([r.weight], dtype=float),
-        granularity=ATTACK23,
-    )
-
-
-def nb_predict(model: NaiveBayesModel, r: Record) -> dict[str, float]:
-    """Normalized posterior for one record, computed in log space."""
-    if len(r.values) != model.n_features:
-        raise SchemaError(
-            f"record has {len(r.values)} values, model expects {model.n_features}"
-        )
-    scores = model.log_posteriors(_record_dataset(r, model.n_features))[0]
-    shifted = np.exp(scores - scores.max())
-    posterior = shifted / shifted.sum()
-    return {lbl: float(p) for lbl, p in zip(model.labels, posterior)}
+    Computed in log space: each row is shifted by its maximum before
+    exponentiation.
+    """
+    scores = model.log_posteriors(ds)
+    shifted = np.exp(scores - scores.max(axis=1, keepdims=True))
+    return shifted / shifted.sum(axis=1, keepdims=True)
 
 
 def nb_predict_batch(model: NaiveBayesModel, ds: Dataset) -> np.ndarray:
@@ -229,9 +213,6 @@ class EnsembleModel:
             ],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_payload(), sort_keys=True, indent=2) + "\n"
-
     @classmethod
     def from_payload(cls, payload: Mapping) -> "EnsembleModel":
         return cls(
@@ -241,10 +222,6 @@ class EnsembleModel:
                 for r in payload["rounds"]
             ),
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> "EnsembleModel":
-        return cls.from_payload(json.loads(text))
 
 
 @dataclass(frozen=True)
@@ -337,12 +314,9 @@ def train_classifier(
     return EnsembleModel(labels=model.labels, rounds=((model, 1.0),))
 
 
-def ensemble_predict(e: EnsembleModel, r: Record) -> str:
-    """Weighted-vote label for one record; ties break by label order."""
-    ds = _record_dataset(r, e.rounds[0][0].n_features)
-    return e.labels[int(e.vote_matrix(ds).argmax(axis=1)[0])]
-
-
 def ensemble_predict_batch(e: EnsembleModel, ds: Dataset) -> np.ndarray:
-    """Argmax class index per record under the weighted hard vote."""
+    """Argmax class index per record under the weighted hard vote.
+
+    Ties break toward the first label.
+    """
     return e.vote_matrix(ds).argmax(axis=1)

@@ -71,7 +71,7 @@ def ingest(input_path, out, granularity, sample, sample_seed):
     if manifest is not None:
         manifest_path = Path(out).with_name(Path(out).name + ".manifest.json")
         manifest_path.parent.mkdir(parents=True, exist_ok=True)
-        pipeline._write_json(manifest_path, manifest)
+        manifest_path.write_text(data.json_text(manifest))
     if granularity == data.CATEGORY5:
         ds = data.map_labels(ds, data.CATEGORY5)
     data.write_dataset(ds, out)
@@ -81,17 +81,11 @@ def ingest(input_path, out, granularity, sample, sample_seed):
 @cli.command("discretize")
 @click.argument("dataset_path")
 @click.option("--out", required=True, help="Output directory.")
-@click.option(
-    "--candidates",
-    type=click.Choice(discretize.CANDIDATE_MODES),
-    default="boundary",
-    show_default=True,
-)
 @pipeline._stage("discretize")
-def discretize_cmd(dataset_path, out, candidates):
+def discretize_cmd(dataset_path, out):
     """Fit MDL cut points on a dataset and write the binned copy."""
     ds = data.read_dataset(_resolve_input(dataset_path))
-    model = discretize.fit_discretizer(ds, candidates=candidates)
+    model = discretize.fit_discretizer(ds)
     binned = discretize.apply_discretizer(model, ds)
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -195,7 +189,6 @@ def _apply_overrides(config: PipelineConfig, **kw) -> PipelineConfig:
         sample=sample,
         experiment=ExperimentConfig(
             discretization=kw["discretization"] or exp.discretization,
-            candidates=exp.candidates,
             selection=selection,
             classifier=classifier,
         ),

@@ -10,8 +10,7 @@ import json
 from dataclasses import asdict, dataclass, field
 from typing import Mapping
 
-from .data import ATTACK23, GRANULARITIES
-from .discretize import CANDIDATE_MODES
+from .data import ATTACK23, GRANULARITIES, json_text
 from .select import SELECTION_METHODS
 
 DISCRETIZATION_MODES = ("leaky", "fold-safe")
@@ -83,7 +82,6 @@ class ExperimentConfig:
     """Everything cross_validate needs: preprocessing + selection + learner."""
 
     discretization: str = "leaky"
-    candidates: str = "boundary"
     selection: SelectionConfig = field(default_factory=SelectionConfig)
     classifier: ClassifierConfig = field(default_factory=ClassifierConfig)
 
@@ -93,8 +91,6 @@ class ExperimentConfig:
                 f"discretization must be one of {DISCRETIZATION_MODES}, "
                 f"got {self.discretization!r}"
             )
-        if self.candidates not in CANDIDATE_MODES:
-            raise ValueError(f"candidates must be one of {CANDIDATE_MODES}")
 
 
 @dataclass(frozen=True)
@@ -117,7 +113,7 @@ class PipelineConfig:
         return payload
 
     def to_json(self) -> str:
-        return json.dumps(self.to_payload(), sort_keys=True, indent=2) + "\n"
+        return json_text(self.to_payload())
 
     @classmethod
     def from_payload(cls, payload: Mapping) -> "PipelineConfig":
@@ -132,7 +128,6 @@ class PipelineConfig:
             sample=None if sample is None else SampleConfig(**sample),
             experiment=ExperimentConfig(
                 discretization=experiment.get("discretization", "leaky"),
-                candidates=experiment.get("candidates", "boundary"),
                 selection=SelectionConfig(**(experiment.get("selection", {}) or {})),
                 classifier=ClassifierConfig(
                     **(experiment.get("classifier", {}) or {})

@@ -185,6 +185,15 @@ class FeatureSchema:
 NSLKDD_SCHEMA = FeatureSchema(_NSLKDD_FEATURES)
 
 
+def json_text(payload) -> str:
+    """Text of a JSON artifact: sorted keys, two-space indent, final newline.
+
+    Every JSON file the pipeline writes goes through here, except the
+    one-line ``foldplan.json``.
+    """
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
 def check_discrete(ds: "Dataset", noun: str) -> None:
     """Raise SchemaError naming the continuous features; ``noun`` names the caller."""
     bad = [i for i in range(1, len(ds.schema) + 1) if ds.schema.kind(i) != DISCRETE]
@@ -238,15 +247,6 @@ class Coding:
             self.labels,
             self.label_vocab,
         )
-
-
-@dataclass(frozen=True)
-class Record:
-    """One connection record: 41 feature values, class label, instance weight."""
-
-    values: tuple
-    label: str
-    weight: float = 1.0
 
 
 @dataclass(eq=False)
@@ -312,23 +312,12 @@ class Dataset:
         """Column values for a 1-based feature index."""
         return self.columns[index - 1]
 
-    def record(self, i: int) -> Record:
-        return Record(
-            values=tuple(col[i] for col in self.columns),
-            label=str(self.labels[i]),
-            weight=float(self.weights[i]),
-        )
-
-    def records(self) -> Iterator[Record]:
-        for i in range(len(self)):
-            yield self.record(i)
-
     def coding(self) -> Coding:
         """Integer coding of all columns and the labels, computed once.
 
         Continuous columns are coded by numeric value, so their vocabularies
-        ascend. Subsets, projections, reweightings and recodings of a coded
-        dataset carry its codes instead of encoding their columns again.
+        ascend. Subsets, projections and recodings of a coded dataset carry
+        its codes instead of encoding their columns again.
         """
         if self._coding is None:
             columns = [
@@ -374,9 +363,6 @@ class Dataset:
             columns=tuple(self.columns[i - 1] for i in kept),
         )
 
-    def with_weights(self, weights) -> "Dataset":
-        return self._derive(self._coding, weights=np.asarray(weights, dtype=float))
-
     def recode(
         self, schema: FeatureSchema, coded: Mapping[int, tuple[np.ndarray, tuple]]
     ) -> "Dataset":
@@ -398,26 +384,6 @@ class Dataset:
                 tuple(code_columns), tuple(vocabs), self._coding.labels, self._coding.label_vocab
             )
         return self._derive(coding, schema=schema, columns=tuple(columns))
-
-    @classmethod
-    def from_records(
-        cls, schema: FeatureSchema, records: Iterable[Record], granularity: str = ATTACK23
-    ) -> "Dataset":
-        records = list(records)
-        columns = []
-        for idx in range(1, len(schema) + 1):
-            raw = [r.values[idx - 1] for r in records]
-            if schema.kind(idx) == CONTINUOUS:
-                columns.append(np.asarray(raw, dtype=float))
-            else:
-                columns.append(np.asarray(raw, dtype=object))
-        return cls(
-            schema=schema,
-            columns=tuple(columns),
-            labels=np.asarray([r.label for r in records], dtype=object),
-            weights=np.asarray([r.weight for r in records], dtype=float),
-            granularity=granularity,
-        )
 
 
 def parse_records(lines: Iterable[str], schema: FeatureSchema = NSLKDD_SCHEMA) -> Dataset:
@@ -522,7 +488,7 @@ def write_dataset(ds: Dataset, path) -> None:
             fh.write(line + "\n")
     meta = {"granularity": ds.granularity, "schema": ds.schema.to_payload()}
     sidecar = path.with_name(path.name + ".schema.json")
-    sidecar.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
+    sidecar.write_text(json_text(meta))
 
 
 def map_labels(ds: Dataset, target: str = CATEGORY5) -> Dataset:
@@ -572,13 +538,6 @@ class FoldPlan:
     def to_payload(self) -> dict:
         return {"k": self.k, "assignments": [int(a) for a in self.assignments]}
 
-    @classmethod
-    def from_payload(cls, payload: Mapping) -> "FoldPlan":
-        return cls(
-            k=int(payload["k"]),
-            assignments=np.asarray(payload["assignments"], dtype=np.int64),
-        )
-
 
 def stratified_folds(ds: Dataset, k: int, seed: int) -> FoldPlan:
     """Deterministic stratified fold assignment.
@@ -602,21 +561,14 @@ def stratified_folds(ds: Dataset, k: int, seed: int) -> FoldPlan:
     return FoldPlan(k=k, assignments=assignments)
 
 
-def match_distribution(
-    ds: Dataset, target_counts: Mapping[str, int], seed: int
-) -> Dataset:
-    """Sample records without replacement to hit an exact label histogram.
-
-    Deterministic per seed; labels missing from ``target_counts`` are
-    excluded. Use :func:`sample_indices` to audit which rows were chosen.
-    """
-    return ds.subset(sample_indices(ds, target_counts, seed))
-
-
 def sample_indices(
     ds: Dataset, target_counts: Mapping[str, int], seed: int
 ) -> np.ndarray:
-    """Original row indices of the distribution-matched sample, ascending."""
+    """Rows drawn without replacement to hit an exact label histogram, ascending.
+
+    Deterministic per seed; labels missing from ``target_counts`` are
+    excluded. ``ds.subset`` of the result is the sample.
+    """
     rng = np.random.default_rng(seed)
     chosen: list[np.ndarray] = []
     for label in sorted(target_counts):

@@ -17,10 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, FeatureSchema, encode
+from .data import Dataset, FeatureSchema, encode, json_text
 from .errors import SchemaError
-
-CANDIDATE_MODES = ("boundary", "all")
 
 
 def entropy(class_counts) -> float:
@@ -51,17 +49,16 @@ def _row_entropies(counts: np.ndarray) -> np.ndarray:
     return -(p * np.log2(np.where(counts > 0, p, 1.0))).sum(axis=1)
 
 
-def mdlp_cuts(values, labels, candidates: str = "boundary") -> list[float]:
+def mdlp_cuts(values, labels) -> list[float]:
     """Recursive binary MDL splitting of one continuous feature.
 
-    Candidate thresholds are midpoints between adjacent distinct values; in
-    ``boundary`` mode (default, equivalent result) only midpoints whose
-    neighborhoods contain differing class labels are examined. Ties between
-    equal-entropy candidates break toward the smallest threshold. Returns
-    accepted thresholds in ascending order.
+    Candidate thresholds are the midpoints between adjacent distinct values
+    whose neighborhoods hold differing class labels: the entropy-minimizing
+    cut always lies on such a class boundary (Fayyad & Irani 1993), so the
+    other midpoints are never examined. Ties between equal-entropy
+    candidates break toward the smallest threshold. Returns accepted
+    thresholds in ascending order.
     """
-    if candidates not in CANDIDATE_MODES:
-        raise ValueError(f"candidates must be one of {CANDIDATE_MODES}")
     values = np.asarray(values, dtype=float)
     labels = np.asarray(labels)
     if values.shape[0] != labels.shape[0]:
@@ -70,11 +67,11 @@ def mdlp_cuts(values, labels, candidates: str = "boundary") -> list[float]:
         return []
     codes, vocab = encode(values)
     y, classes = encode(labels)
-    return _mdlp_cuts(codes, np.asarray(vocab, dtype=float), y, len(classes), candidates)
+    return _mdlp_cuts(codes, np.asarray(vocab, dtype=float), y, len(classes))
 
 
 def _mdlp_cuts(
-    codes: np.ndarray, vocab: np.ndarray, y: np.ndarray, n_classes: int, candidates: str
+    codes: np.ndarray, vocab: np.ndarray, y: np.ndarray, n_classes: int
 ) -> list[float]:
     """:func:`mdlp_cuts` of one feature coded over an ascending vocabulary.
 
@@ -102,16 +99,14 @@ def _mdlp_cuts(
         lo, hi = stack.pop()
         if hi - lo < 2:
             continue
-        # Candidate cut after group position p (between p and p+1).
-        if candidates == "boundary":
-            same_pure = (
-                group_pure[lo : hi - 1]
-                & group_pure[lo + 1 : hi]
-                & (group_class[lo : hi - 1] == group_class[lo + 1 : hi])
-            )
-            cand = np.flatnonzero(~same_pure)
-        else:
-            cand = np.arange(hi - lo - 1)
+        # Candidate cut after group position p (between p and p+1): every
+        # class boundary, i.e. not between two pure groups of one class.
+        same_pure = (
+            group_pure[lo : hi - 1]
+            & group_pure[lo + 1 : hi]
+            & (group_class[lo : hi - 1] == group_class[lo + 1 : hi])
+        )
+        cand = np.flatnonzero(~same_pure)
         if not cand.size:
             continue
 
@@ -189,7 +184,7 @@ class DiscretizationModel:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_payload(), sort_keys=True, indent=2) + "\n"
+        return json_text(self.to_payload())
 
     @classmethod
     def from_payload(cls, payload: Mapping) -> "DiscretizationModel":
@@ -205,12 +200,10 @@ class DiscretizationModel:
         return cls.from_payload(json.loads(text))
 
 
-def fit_discretizer(train: Dataset, candidates: str = "boundary") -> DiscretizationModel:
+def fit_discretizer(train: Dataset) -> DiscretizationModel:
     """Fit MDL cut points for every continuous feature against the labels."""
     if len(train) == 0:
         raise ValueError("cannot fit a discretizer on an empty dataset")
-    if candidates not in CANDIDATE_MODES:
-        raise ValueError(f"candidates must be one of {CANDIDATE_MODES}")
     coding = train.coding()
     # Class codes over the classes of the training rows only, as
     # encode(train.labels) gives them: a class column of zeros would change
@@ -221,7 +214,7 @@ def fit_discretizer(train: Dataset, candidates: str = "boundary") -> Discretizat
     cut_lists = []
     for idx in train.schema.continuous_indices:
         vocab = np.asarray(coding.vocabs[idx - 1], dtype=float)
-        cuts = _mdlp_cuts(coding.columns[idx - 1], vocab, y, n_classes, candidates)
+        cuts = _mdlp_cuts(coding.columns[idx - 1], vocab, y, n_classes)
         cut_lists.append(CutPointList(idx, tuple(cuts)))
     return DiscretizationModel(schema=train.schema, cut_lists=tuple(cut_lists))
 

@@ -27,12 +27,6 @@ class SamplingError(DataError):
     """Requested sample cannot be drawn from the available records."""
 
 
-class InternalError(Exception):
-    """Invariant violation inside the pipeline itself."""
-
-    exit_code = 3
-
-
 class StageError(Exception):
     """Failure attributed to a named pipeline stage."""
 

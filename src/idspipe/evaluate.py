@@ -9,14 +9,13 @@ per-class values.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from . import classify, discretize, select
-from .data import Dataset, FoldPlan, encode, stratified_folds, vocab_lookup
+from .data import Dataset, FoldPlan, encode, json_text, stratified_folds, vocab_lookup
 from .errors import UnknownLabelError
 
 
@@ -46,13 +45,6 @@ class ConfusionMatrix:
             "labels": list(self.labels),
             "counts": [[int(c) for c in row] for row in self.counts],
         }
-
-    @classmethod
-    def from_payload(cls, payload: Mapping) -> "ConfusionMatrix":
-        return cls(
-            labels=tuple(payload["labels"]),
-            counts=np.asarray(payload["counts"], dtype=np.int64),
-        )
 
     @classmethod
     def from_codes(cls, truths, preds, labels: tuple[str, ...]) -> "ConfusionMatrix":
@@ -172,7 +164,7 @@ class EvaluationReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_payload(), sort_keys=True, indent=2) + "\n"
+        return json_text(self.to_payload())
 
     @classmethod
     def from_matrix(cls, matrix: ConfusionMatrix, descriptor: dict) -> "EvaluationReport":
@@ -183,22 +175,6 @@ class EvaluationReport:
             weighted=aggregate(per_class),
             descriptor=descriptor,
         )
-
-    @classmethod
-    def from_payload(cls, payload: Mapping) -> "EvaluationReport":
-        per_class = {
-            lbl: ClassMetrics(**vals) for lbl, vals in payload["per_class"].items()
-        }
-        return cls(
-            matrix=ConfusionMatrix.from_payload(payload["matrix"]),
-            per_class=per_class,
-            weighted=WeightedMetrics(**payload["weighted"]),
-            descriptor=dict(payload["descriptor"]),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "EvaluationReport":
-        return cls.from_payload(json.loads(text))
 
     def format_table(self) -> str:
         """Human-readable per-class and weighted metric table."""
@@ -253,7 +229,7 @@ class Preprocessing(NamedTuple):
 
 def fit_preprocessing(ds: Dataset, config) -> Preprocessing:
     """Fit the configured discretizer, then the selection, on ``ds``."""
-    dmodel = discretize.fit_discretizer(ds, candidates=config.candidates)
+    dmodel = discretize.fit_discretizer(ds)
     dds = discretize.apply_discretizer(dmodel, ds)
     selection = select.run_selection(dds, config.selection.method, config.selection.alpha)
     return Preprocessing(dmodel, selection, dds.project(selection.subset.indices))

@@ -14,11 +14,20 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import classify
-from .config import PipelineConfig, SampleConfig
+from .config import (
+    DEFAULT_HYBRID_ALPHA,
+    ClassifierConfig,
+    CrossValConfig,
+    ExperimentConfig,
+    PipelineConfig,
+    SampleConfig,
+    SelectionConfig,
+)
 from .data import (
     ATTACK23,
     CATEGORY5,
     Dataset,
+    json_text,
     map_labels,
     parse_records,
     reference_sample_counts,
@@ -127,7 +136,7 @@ def model_json(kind: str, model: classify.EnsembleModel, features) -> str:
         "features": list(features),
         "model": model.to_payload(),
     }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return json_text(payload)
 
 
 def load_model_payload(payload: dict):
@@ -154,10 +163,6 @@ def load_model_payload(payload: dict):
         raise DataError(f"model.json is missing key {exc.args[0]!r}") from exc
     except TypeError as exc:
         raise DataError(f"malformed model.json: {exc}") from exc
-
-
-def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def run_experiment(config: PipelineConfig) -> RunResult:
@@ -190,10 +195,7 @@ def run_experiment(config: PipelineConfig) -> RunResult:
     emit("config.json", config.to_json())
     emit("foldplan.json", json.dumps(plan.to_payload(), sort_keys=True) + "\n")
     if manifest is not None:
-        emit(
-            "sample_manifest.json",
-            json.dumps(manifest, sort_keys=True, indent=2) + "\n",
-        )
+        emit("sample_manifest.json", json_text(manifest))
     emit("discretizer.json", dmodel.to_json())
     emit("selection.json", selection.to_json())
     emit(
@@ -217,11 +219,6 @@ TABLE_GRID = (
 )
 
 
-def _grid_rows(granularity: str):
-    rows = [row for row in TABLE_GRID if not (granularity == CATEGORY5 and row[2])]
-    return rows
-
-
 def reproduce_tables(
     input_path: str,
     output_dir: str,
@@ -237,15 +234,6 @@ def reproduce_tables(
     a per-attack F-measure comparison of the hybrid pipeline with and
     without boosting (23-class only).
     """
-    from .config import (
-        ClassifierConfig,
-        CrossValConfig,
-        DEFAULT_HYBRID_ALPHA,
-        ExperimentConfig,
-        SampleConfig,
-        SelectionConfig,
-    )
-
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: dict[str, Path] = {}
@@ -253,7 +241,9 @@ def reproduce_tables(
 
     for granularity, tag in ((ATTACK23, "23class"), (CATEGORY5, "5class")):
         rows = []
-        for method, row_alpha, boost in _grid_rows(granularity):
+        for method, row_alpha, boost in TABLE_GRID:
+            if granularity == CATEGORY5 and boost:
+                continue
             effective_alpha = (
                 row_alpha
                 if row_alpha is not None
@@ -287,7 +277,7 @@ def reproduce_tables(
             )
         payload = {"granularity": granularity, "seed": seed, "rows": rows}
         json_path = out / f"selector_comparison_{tag}.json"
-        _write_json(json_path, payload)
+        json_path.write_text(json_text(payload))
         written[json_path.name] = json_path
         txt_path = out / f"selector_comparison_{tag}.txt"
         txt_path.write_text(_format_grid(granularity, rows))
@@ -300,19 +290,17 @@ def reproduce_tables(
         )
         written[cmp_path.name] = cmp_path
         cmp_json = out / "per_attack_f.json"
-        _write_json(
-            cmp_json,
-            {
-                "unboosted": {
-                    lbl: m.f_measure
-                    for lbl, m in sorted(hybrid_reports[False].per_class.items())
-                },
-                "boosted": {
-                    lbl: m.f_measure
-                    for lbl, m in sorted(hybrid_reports[True].per_class.items())
-                },
+        per_attack = {
+            "unboosted": {
+                lbl: m.f_measure
+                for lbl, m in sorted(hybrid_reports[False].per_class.items())
             },
-        )
+            "boosted": {
+                lbl: m.f_measure
+                for lbl, m in sorted(hybrid_reports[True].per_class.items())
+            },
+        }
+        cmp_json.write_text(json_text(per_attack))
         written[cmp_json.name] = cmp_json
     return written
 

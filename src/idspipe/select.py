@@ -22,7 +22,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .data import Coding, Dataset, check_discrete, encode
+from .data import Coding, Dataset, check_discrete, encode, json_text
 from .discretize import entropy
 
 SELECTION_METHODS = (
@@ -409,25 +409,6 @@ def rank_threshold(
     return RankedFeatures(entries=tuple(kept))
 
 
-def hybrid_select(
-    ds: Dataset, alpha: float, cache: CorrelationCache | None = None
-) -> FeatureSubset:
-    """Union of the greedy CFS subset and top information-gain leftovers."""
-    return _hybrid_parts(ds, alpha, cache)[2]
-
-
-def _hybrid_parts(
-    ds: Dataset, alpha: float, cache: CorrelationCache | None = None
-) -> tuple[FeatureSubset, RankedFeatures, FeatureSubset]:
-    check_discrete(ds, "selection")
-    cache = cache or CorrelationCache(ds)
-    cfs = greedy_forward_search(ds, cache)
-    rest = [i for i in range(1, len(ds.schema) + 1) if i not in cfs.indices]
-    ranked = rank_threshold(ds, "ig", alpha, include=rest)
-    union = tuple(sorted(set(cfs.indices) | set(ranked.indices)))
-    return cfs, ranked, FeatureSubset(indices=union, merit=cfs_merit(union, cache))
-
-
 @dataclass(frozen=True)
 class SelectionResult:
     """Serializable outcome of one selection run."""
@@ -453,7 +434,7 @@ class SelectionResult:
         return payload
 
     def to_json(self) -> str:
-        return json.dumps(self.to_payload(), sort_keys=True, indent=2) + "\n"
+        return json_text(self.to_payload())
 
     @classmethod
     def from_payload(cls, payload: Mapping) -> "SelectionResult":
@@ -497,12 +478,18 @@ def run_selection(ds: Dataset, method: str, alpha: float) -> SelectionResult:
         subset = best_first_search(ds)
         return SelectionResult(method=method, alpha=None, subset=subset)
     if method == "hybrid":
+        # Union of the greedy CFS subset and the information-gain leaders
+        # among the features CFS left out.
+        check_discrete(ds, "selection")
         cache = CorrelationCache(ds)
-        cfs, ranked, union = _hybrid_parts(ds, alpha, cache)
+        cfs = greedy_forward_search(ds, cache)
+        rest = [i for i in range(1, len(ds.schema) + 1) if i not in cfs.indices]
+        ranked = rank_threshold(ds, "ig", alpha, include=rest)
+        union = tuple(sorted(set(cfs.indices) | set(ranked.indices)))
         return SelectionResult(
             method=method,
             alpha=alpha,
-            subset=union,
+            subset=FeatureSubset(indices=union, merit=cfs_merit(union, cache)),
             ranking=ranked,
             components={"cfs": cfs.indices, "ig-added": ranked.indices},
         )

@@ -31,12 +31,7 @@ from idspipe.config import (
     ExperimentConfig,
     SelectionConfig,
 )
-from idspipe.data import (
-    Record,
-    match_distribution,
-    parse_records,
-    reference_sample_counts,
-)
+from idspipe.data import parse_records, reference_sample_counts, sample_indices
 from idspipe.discretize import apply_discretizer, entropy, fit_discretizer, mdlp_cuts
 from idspipe.evaluate import cross_validate, per_class_metrics
 from idspipe.select import (
@@ -160,12 +155,14 @@ def test_criterion_05_naive_bayes_correctness():
     with criterion(5, "NB posteriors normalized, hand example exact, scale invariant"):
         ds = toy_dataset(HAND_COLUMNS, HAND_LABELS)
         model = train_naive_bayes(ds)
-        for values in (("y", "q"), ("x", "p"), ("zzz", "q")):
-            post = nb_predict(model, Record(values=values, label="?"))
+        assert model.labels == ("a", "b")
+        queries = [("y", "q"), ("x", "p"), ("zzz", "q")]
+        posteriors = nb_predict(model, toy_dataset(list(zip(*queries)), ["?"] * len(queries)))
+        for values, post in zip(queries, posteriors):
             expected = oracle_posterior(values)
-            assert abs(sum(post.values()) - 1.0) < 1e-12
-            for lbl in ("a", "b"):
-                assert abs(post[lbl] - expected[lbl]) < 1e-12
+            assert abs(post.sum() - 1.0) < 1e-12
+            for c, lbl in enumerate(model.labels):
+                assert abs(post[c] - expected[lbl]) < 1e-12
         scaled = train_naive_bayes(
             toy_dataset(HAND_COLUMNS, HAND_LABELS, weights=[3.0] * 4)
         )
@@ -180,8 +177,8 @@ def test_criterion_05_naive_bayes_correctness():
                 ["abc"[v] for v in rng.integers(0, 3, size=n)],
             )
             m = train_naive_bayes(ds)
-            for i in range(min(n, 5)):
-                assert abs(sum(nb_predict(m, ds.record(i)).values()) - 1.0) < 1e-12
+            for post in nb_predict(m, ds.subset(range(min(n, 5)))):
+                assert abs(post.sum() - 1.0) < 1e-12
 
 
 def test_criterion_06_metric_arithmetic():
@@ -231,8 +228,8 @@ def _reference_sample():
         else:
             with open(path, "r", encoding="utf-8") as fh:
                 full = parse_records(fh)
-            _CACHE["sample"] = match_distribution(
-                full, reference_sample_counts(), seed=0
+            _CACHE["sample"] = full.subset(
+                sample_indices(full, reference_sample_counts(), seed=0)
             )
     return _CACHE["sample"]
 

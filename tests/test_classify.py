@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -11,7 +12,6 @@ from idspipe.classify import (
     EnsembleModel,
     NaiveBayesModel,
     boost_rounds,
-    ensemble_predict,
     ensemble_predict_batch,
     nb_predict,
     nb_predict_batch,
@@ -20,7 +20,8 @@ from idspipe.classify import (
     train_naive_bayes,
 )
 from idspipe.config import ClassifierConfig
-from idspipe.data import DISCRETE, Dataset, FeatureSchema, Record
+from idspipe.data import DISCRETE, Dataset, FeatureSchema
+from idspipe.pipeline import load_model_payload, model_json
 
 from conftest import toy_dataset
 
@@ -52,6 +53,21 @@ def oracle_posterior(record_values):
         score[cls] = s
     total = score["a"] + score["b"]
     return {cls: s / total for cls, s in score.items()}
+
+
+def one_row(ds, i):
+    """Record i of ``ds`` as a dataset of its own, coded afresh."""
+    return toy_dataset([[col[i]] for col in ds.columns], [ds.labels[i]])
+
+
+def query(*values):
+    """One unlabelled record with the given feature values."""
+    return toy_dataset([[v] for v in values], ["?"])
+
+
+def ensemble_text(ensemble):
+    """The ensemble as ``model.json`` writes it."""
+    return model_json("adaboost-nb", ensemble, [])
 
 
 def random_dataset(seed, n=None, separable=False):
@@ -135,31 +151,34 @@ class TestNbPredict:
     def test_memorized_single_record(self):
         ds = toy_dataset([["x"], ["p"]], ["a"])
         model = train_naive_bayes(ds)
-        post = nb_predict(model, ds.record(0))
-        assert max(post, key=post.get) == "a"
+        [post] = nb_predict(model, one_row(ds, 0))
+        assert model.labels[post.argmax()] == "a"
 
     def test_uninformative_features_recover_priors(self):
         # balanced classes and a feature seen equally in both: cancels out
         ds = toy_dataset([["u", "v", "u", "v"]], ["a", "a", "b", "b"])
         model = train_naive_bayes(ds)
-        post = nb_predict(model, Record(values=("u",), label="?"))
-        assert post["a"] == pytest.approx(post["b"], abs=1e-12)
-        assert post["a"] == pytest.approx(model.priors[0], abs=1e-12)
+        [post] = nb_predict(model, query("u"))
+        assert model.labels == ("a", "b")
+        assert post[0] == pytest.approx(post[1], abs=1e-12)
+        assert post[0] == pytest.approx(model.priors[0], abs=1e-12)
 
     def test_hand_computed_posteriors(self):
         model = train_naive_bayes(hand_dataset())
+        assert model.labels == ("a", "b")
         for values in (("y", "q"), ("x", "p"), ("x", "q"), ("y", "p")):
-            post = nb_predict(model, Record(values=values, label="?"))
+            [post] = nb_predict(model, query(*values))
             expected = oracle_posterior(values)
-            assert post["a"] == pytest.approx(expected["a"], abs=1e-12)
-            assert post["b"] == pytest.approx(expected["b"], abs=1e-12)
+            assert post[0] == pytest.approx(expected["a"], abs=1e-12)
+            assert post[1] == pytest.approx(expected["b"], abs=1e-12)
 
     def test_unseen_value_uses_reserved_slot(self):
         model = train_naive_bayes(hand_dataset())
-        post = nb_predict(model, Record(values=("zzz", "q"), label="?"))
+        [post] = nb_predict(model, query("zzz", "q"))
         expected = oracle_posterior(("zzz", "q"))
-        assert post["a"] == pytest.approx(expected["a"], abs=1e-12)
-        assert sum(post.values()) == pytest.approx(1.0, abs=1e-12)
+        assert model.labels == ("a", "b")
+        assert post[0] == pytest.approx(expected["a"], abs=1e-12)
+        assert post.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_values_match_by_csv_text_form(self):
         # bins fitted in memory are ints; read back from a dataset CSV they are text
@@ -173,35 +192,37 @@ class TestNbPredict:
         ds = random_dataset(seed)
         model = train_naive_bayes(ds)
         for i in range(min(len(ds), 10)):
-            post = nb_predict(model, ds.record(i))
-            assert sum(post.values()) == pytest.approx(1.0, abs=1e-12)
+            [post] = nb_predict(model, one_row(ds, i))
+            assert post.sum() == pytest.approx(1.0, abs=1e-12)
+        for post in nb_predict(model, ds):
+            assert post.sum() == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_log_space_matches_direct_product(self, seed):
         ds = random_dataset(seed, n=20)
         model = train_naive_bayes(ds)
         for i in range(5):
-            r = ds.record(i)
-            post = nb_predict(model, r)
-            direct = {}
-            for c, lbl in enumerate(model.labels):
+            [post] = nb_predict(model, one_row(ds, i))
+            direct = []
+            for c in range(len(model.labels)):
                 s = model.priors[c]
-                for f, value in enumerate(r.values):
+                for f, column in enumerate(ds.columns):
                     values = model.feature_values[f]
+                    value = column[i]
                     idx = values.index(value) if value in values else len(values)
                     s *= model.cond[f][idx, c]
-                direct[lbl] = s
-            total = sum(direct.values())
-            for lbl in model.labels:
-                assert post[lbl] == pytest.approx(direct[lbl] / total, abs=1e-9)
+                direct.append(s)
+            total = sum(direct)
+            for c in range(len(model.labels)):
+                assert post[c] == pytest.approx(direct[c] / total, abs=1e-9)
 
     def test_batch_matches_single(self):
         ds = random_dataset(11)
         model = train_naive_bayes(ds)
         codes = nb_predict_batch(model, ds)
         for i in range(len(ds)):
-            post = nb_predict(model, ds.record(i))
-            assert model.labels[codes[i]] == max(post, key=post.get)
+            [post] = nb_predict(model, one_row(ds, i))
+            assert codes[i] == post.argmax()
 
 
 class TestAdaBoost:
@@ -286,7 +307,7 @@ class TestAdaBoost:
     def test_deterministic_training(self):
         a = train_adaboost_m1(random_dataset(7), rounds=5)
         b = train_adaboost_m1(random_dataset(7), rounds=5)
-        assert a.to_json() == b.to_json()
+        assert ensemble_text(a) == ensemble_text(b)
 
 
 class TestEnsemblePredict:
@@ -309,7 +330,7 @@ class TestEnsemblePredict:
         m_a = self.nb_stub({"v": "a", "w": "a"})
         m_b = self.nb_stub({"v": "b", "w": "b"})
         ensemble = EnsembleModel(labels=("a", "b"), rounds=((m_a, 2.0), (m_b, 1.0)))
-        assert ensemble_predict(ensemble, Record(values=("v",), label="?")) == "a"
+        assert ensemble.labels[ensemble_predict_batch(ensemble, query("v"))[0]] == "a"
 
     def test_majority_vote(self):
         m_a = self.nb_stub({"v": "a"})
@@ -317,19 +338,21 @@ class TestEnsemblePredict:
         ensemble = EnsembleModel(
             labels=("a", "b"), rounds=((m_a, 1.0), (m_a, 1.0), (m_b, 1.0))
         )
-        assert ensemble_predict(ensemble, Record(values=("v",), label="?")) == "a"
+        assert ensemble.labels[ensemble_predict_batch(ensemble, query("v"))[0]] == "a"
 
     def test_tie_breaks_by_label_order(self):
         m_a = self.nb_stub({"v": "a"})
         m_b = self.nb_stub({"v": "b"})
         ensemble = EnsembleModel(labels=("a", "b"), rounds=((m_b, 1.0), (m_a, 1.0)))
-        assert ensemble_predict(ensemble, Record(values=("v",), label="?")) == "a"
+        assert ensemble.labels[ensemble_predict_batch(ensemble, query("v"))[0]] == "a"
 
     def test_serialization_bit_identical_predictions(self):
         ds = random_dataset(9)
         ensemble = train_adaboost_m1(ds, rounds=4)
-        again = EnsembleModel.from_json(ensemble.to_json())
-        assert again.to_json() == ensemble.to_json()
+        text = model_json("adaboost-nb", ensemble, [1])
+        kind, again, features = load_model_payload(json.loads(text))
+        assert (kind, features) == ("adaboost-nb", [1])
+        assert model_json(kind, again, features) == text
         assert np.array_equal(
             again.vote_matrix(ds), ensemble.vote_matrix(ds)
         )
@@ -352,7 +375,7 @@ class TestTrainClassifier:
         ds = random_dataset(5)
         ensemble = train_classifier(ds, ClassifierConfig(rounds=3), label_set=("a", "b"))
         reference = train_adaboost_m1(ds, rounds=3, label_set=("a", "b"))
-        assert ensemble.to_json() == reference.to_json()
+        assert ensemble_text(ensemble) == ensemble_text(reference)
 
 
 def uncoded(ds, weights=None):
@@ -429,7 +452,7 @@ class TestCodedPath:
         train, test = full.subset(train_idx), full.subset(test_idx)
         ensemble = train_adaboost_m1(train, rounds=rounds, label_set=labels)
         reference = reference_adaboost(uncoded(train), rounds, labels)
-        assert ensemble.to_json() == reference.to_json()
+        assert ensemble_text(ensemble) == ensemble_text(reference)
         assert np.array_equal(
             ensemble_predict_batch(ensemble, test), reference_predict(reference, test)
         )

@@ -5,7 +5,6 @@ import pytest
 from idspipe.cli import main
 from idspipe.config import PipelineConfig
 from idspipe.data import read_dataset
-from idspipe.evaluate import EvaluationReport
 from idspipe.pipeline import run_experiment
 from idspipe.synth import synthetic_lines
 
@@ -34,6 +33,19 @@ class TestExitCodes:
 
     def test_no_input_is_usage_error(self):
         assert run_cli("run") == 1
+
+    def test_removed_candidates_option_is_usage_error(self, small_synth, tmp_path, capsys):
+        csv = tmp_path / "ds.csv"
+        assert run_cli("ingest", small_synth, "--out", csv) == 0
+        capsys.readouterr()
+        code = run_cli("discretize", csv, "--out", tmp_path / "d", "--candidates", "all")
+        err = capsys.readouterr().err
+        assert code == 1
+        usage = [line for line in err.splitlines() if line.startswith("Usage:")]
+        assert len(usage) == 1 and usage[0].endswith(" discretize [OPTIONS] DATASET_PATH")
+        assert "Error: No such option '--candidates'" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "d").exists()
 
     def test_malformed_file_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
@@ -292,9 +304,9 @@ class TestRunArtifacts:
             "selection.json", "model.json", "report.json", "report.txt",
         ):
             assert (out / name).exists(), name
-        report = EvaluationReport.from_json((out / "report.json").read_text())
-        assert report.matrix.total == 260
-        assert report.descriptor["selection"]["features"]
+        report = json.loads((out / "report.json").read_text())
+        assert sum(map(sum, report["matrix"]["counts"])) == 260
+        assert report["descriptor"]["selection"]["features"]
 
     def test_byte_identical_reruns(self, small_synth, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
@@ -318,6 +330,26 @@ class TestRunArtifacts:
         assert a["matrix"] == b["matrix"]
         assert a["weighted"] == b["weighted"]
         assert a["per_class"] == b["per_class"]
+
+    @pytest.mark.parametrize("candidates", ["boundary", "all"])
+    @pytest.mark.parametrize("source", ["config.json", "report.json"])
+    def test_files_with_the_removed_candidates_key_still_load(
+        self, small_synth, tmp_path, source, candidates
+    ):
+        # config.json and report.json written while MDLP still had a
+        # candidates option carry experiment.candidates; loading ignores it
+        out = tmp_path / "now"
+        self.run_once(small_synth, out)
+        old = json.loads((out / source).read_text())
+        config = old["descriptor"]["config"] if source == "report.json" else old
+        assert "candidates" not in config["experiment"]
+        config["experiment"]["candidates"] = candidates
+        old_path = tmp_path / f"old-{source}"
+        old_path.write_text(json.dumps(old, sort_keys=True, indent=2) + "\n")
+        replay = tmp_path / "replay"
+        assert run_cli("run", "--config", old_path, "--out", replay) == 0
+        for name in ("discretizer.json", "selection.json", "model.json", "report.json"):
+            assert (replay / name).read_bytes() == (out / name).read_bytes(), name
 
     def test_config_file_with_flag_override(self, small_synth, tmp_path):
         config = PipelineConfig(input_path=str(small_synth), sample=None)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,6 @@ from idspipe.data import (
     NSLKDD_SCHEMA,
     REFERENCE_ATTACK_COUNTS,
     map_labels,
-    match_distribution,
     parse_records,
     reference_sample_counts,
     sample_indices,
@@ -85,7 +86,7 @@ class TestParse:
         assert ds.column(5)[0] == 491.0
         assert ds.column(34)[0] == pytest.approx(0.17)
         # difficulty (the 43rd field) is nowhere in the record
-        assert len(ds.record(0).values) == 41
+        assert len(ds.columns) == 41
 
     def test_non_numeric_continuous(self):
         bad = make_line().split(",")
@@ -231,7 +232,8 @@ class TestStratifiedFolds:
     def test_plan_payload_roundtrip(self):
         ds = toy_dataset([["x"] * 20], ["a"] * 12 + ["b"] * 8)
         plan = stratified_folds(ds, 4, seed=5)
-        again = FoldPlan.from_payload(plan.to_payload())
+        payload = json.loads(json.dumps(plan.to_payload()))
+        again = FoldPlan(payload["k"], np.asarray(payload["assignments"]))
         assert again.k == plan.k
         assert np.array_equal(again.assignments, plan.assignments)
 
@@ -240,19 +242,19 @@ class TestMatchDistribution:
     def test_exact_histogram(self):
         labels = ["a"] * 40 + ["b"] * 25 + ["c"] * 5
         ds = toy_dataset([list(range(70))], labels)
-        out = match_distribution(ds, {"a": 10, "b": 5, "c": 5}, seed=4)
+        out = ds.subset(sample_indices(ds, {"a": 10, "b": 5, "c": 5}, seed=4))
         assert out.class_counts() == {"a": 10, "b": 5, "c": 5}
 
     def test_identity_when_target_is_full_histogram(self):
         labels = ["a"] * 7 + ["b"] * 3
         ds = toy_dataset([list(range(10))], labels)
-        out = match_distribution(ds, {"a": 7, "b": 3}, seed=11)
+        out = ds.subset(sample_indices(ds, {"a": 7, "b": 3}, seed=11))
         assert out == ds
 
     def test_shortfall_error_names_label(self):
         ds = toy_dataset([["x"] * 6], ["neptune"] * 6)
         with pytest.raises(SamplingError, match="neptune.*short by 1"):
-            match_distribution(ds, {"neptune": 7}, seed=0)
+            sample_indices(ds, {"neptune": 7}, seed=0)
 
     def test_deterministic(self):
         labels = ["a"] * 50 + ["b"] * 50
@@ -264,7 +266,7 @@ class TestMatchDistribution:
     def test_labels_not_in_target_excluded(self):
         labels = ["a"] * 5 + ["b"] * 5
         ds = toy_dataset([list(range(10))], labels)
-        out = match_distribution(ds, {"a": 3}, seed=0)
+        out = ds.subset(sample_indices(ds, {"a": 3}, seed=0))
         assert out.class_counts() == {"a": 3}
 
     def test_reference_counts_sum(self):

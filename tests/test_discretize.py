@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from idspipe.data import CONTINUOUS, DISCRETE
 from idspipe.discretize import (
-    CANDIDATE_MODES,
     CutPointList,
     DiscretizationModel,
     apply_discretizer,
@@ -85,7 +84,7 @@ def reference_row_entropies(counts):
     return -terms.sum(axis=1)
 
 
-def reference_mdlp_cuts(values, labels, candidates="boundary"):
+def reference_mdlp_cuts(values, labels):
     values = np.asarray(values, dtype=float)
     labels = np.asarray(labels)
     if values.size == 0:
@@ -111,14 +110,11 @@ def reference_mdlp_cuts(values, labels, candidates="boundary"):
         block = group_counts[lo:hi]
         total = block.sum(axis=0)
         n = total.sum()
-        if candidates == "boundary":
-            mask = ~(
-                group_pure[lo : hi - 1]
-                & group_pure[lo + 1 : hi]
-                & (group_class[lo : hi - 1] == group_class[lo + 1 : hi])
-            )
-        else:
-            mask = np.ones(hi - lo - 1, dtype=bool)
+        mask = ~(
+            group_pure[lo : hi - 1]
+            & group_pure[lo + 1 : hi]
+            & (group_class[lo : hi - 1] == group_class[lo + 1 : hi])
+        )
         if not mask.any():
             continue
         left = np.cumsum(block, axis=0)[:-1]
@@ -237,18 +233,12 @@ class TestMdlpCuts:
         values, labels = arrays
         assert mdlp_cuts(values, labels) == oracle_mdlp(values, labels)
 
-    @given(mdlp_arrays)
-    @settings(max_examples=100, deadline=None)
-    def test_candidate_modes_agree(self, arrays):
-        values, labels = arrays
-        assert mdlp_cuts(values, labels) == mdlp_cuts(values, labels, candidates="all")
-
-    @given(tied_class_columns(), st.sampled_from(CANDIDATE_MODES))
+    @given(tied_class_columns())
     @settings(max_examples=200, deadline=None)
-    def test_bit_identical_to_reference_loop(self, column, candidates):
+    def test_bit_identical_to_reference_loop(self, column):
         values, labels = column
-        cuts = mdlp_cuts(values, labels, candidates=candidates)
-        expected = reference_mdlp_cuts(values, labels, candidates)
+        cuts = mdlp_cuts(values, labels)
+        expected = reference_mdlp_cuts(values, labels)
         assert [c.hex() for c in cuts] == [c.hex() for c in expected]
 
     @given(mdlp_arrays)
@@ -312,18 +302,17 @@ class TestFitApply:
         ds = toy_dataset([vals], labels, kinds=self.kinds(1))
         assert fit_discretizer(ds).cut_lists == fit_discretizer(ds).cut_lists
 
-    @given(st.lists(tied_class_columns(), min_size=1, max_size=4), st.data())
+    @given(st.lists(tied_class_columns(), min_size=1, max_size=4))
     @settings(max_examples=40, deadline=None)
-    def test_cuts_equal_per_column_mdlp_cuts(self, columns, data):
+    def test_cuts_equal_per_column_mdlp_cuts(self, columns):
         n = min(len(values) for values, _ in columns)
         labels = columns[0][1][:n]
         ds = toy_dataset(
             [values[:n] for values, _ in columns], labels, kinds=self.kinds(len(columns))
         )
-        candidates = data.draw(st.sampled_from(CANDIDATE_MODES))
-        model = fit_discretizer(ds, candidates=candidates)
+        model = fit_discretizer(ds)
         for idx, (values, _) in enumerate(columns, start=1):
-            expected = mdlp_cuts(values[:n], labels, candidates=candidates)
+            expected = mdlp_cuts(values[:n], labels)
             assert [c.hex() for c in model.cuts_for(idx).cuts] == [c.hex() for c in expected]
 
     def test_apply_bins_and_passthrough(self):

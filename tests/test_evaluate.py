@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from idspipe.data import (
     DISCRETE,
     NORMAL,
     Dataset,
+    json_text,
     stratified_folds,
 )
 from idspipe.discretize import apply_discretizer, fit_discretizer
@@ -27,6 +30,7 @@ from idspipe.evaluate import (
     cross_validate_plan,
     per_class_metrics,
 )
+from idspipe.pipeline import model_json
 
 from conftest import toy_dataset
 
@@ -244,7 +248,13 @@ class TestReportSerialization:
     def test_roundtrip(self):
         ds = cv_dataset(8)
         report = cross_validate(ds, cv_config(), k=4, seed=0)
-        again = EvaluationReport.from_json(report.to_json())
+        payload = json.loads(report.to_json())
+        assert json_text(payload) == report.to_json()
+        # the stored matrix and descriptor rebuild the whole report
+        matrix = ConfusionMatrix(
+            tuple(payload["matrix"]["labels"]), np.asarray(payload["matrix"]["counts"])
+        )
+        again = EvaluationReport.from_matrix(matrix, payload["descriptor"])
         assert again.to_json() == report.to_json()
         assert np.array_equal(again.matrix.counts, report.matrix.counts)
 
@@ -327,4 +337,6 @@ class TestCarriedCoding:
         config = ClassifierConfig(boost=boost, rounds=3)
         trained = train_classifier(binned.project(features), config, label_set)
         retrained = train_classifier(fresh.project(features), config, label_set)
-        assert trained.to_json() == retrained.to_json()
+        assert model_json(config.kind, trained, features) == model_json(
+            config.kind, retrained, features
+        )

@@ -22,7 +22,6 @@ from idspipe.select import (
     cfs_merit,
     gain_ratio,
     greedy_forward_search,
-    hybrid_select,
     info_gain,
     rank_threshold,
     run_selection,
@@ -520,7 +519,7 @@ class TestHybrid:
         ]
         noise = rng.integers(0, 2, size=n).tolist()
         ds = toy_dataset([list(labels), informative, noise], labels)
-        union = hybrid_select(ds, alpha=0.3)
+        union = run_selection(ds, "hybrid", alpha=0.3).subset
         cfs = greedy_forward_search(ds)
         assert set(cfs.indices) <= set(union.indices)
         assert 2 in union.indices  # picked up by the information-gain stage
@@ -529,12 +528,12 @@ class TestHybrid:
         ds = toy_dataset(
             [["a", "b", "a", "b"], ["k"] * 4, ["m"] * 4], ["a", "b", "a", "b"]
         )
-        union = hybrid_select(ds, alpha=0.9)
+        union = run_selection(ds, "hybrid", alpha=0.9).subset
         assert union.indices == greedy_forward_search(ds).indices
 
     def test_alpha_zero_takes_all(self):
         ds = planted_dataset(3, noise_features=4)
-        union = hybrid_select(ds, alpha=0.0)
+        union = run_selection(ds, "hybrid", alpha=0.0).subset
         assert union.indices == tuple(range(1, 6))
 
 

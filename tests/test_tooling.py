@@ -4,12 +4,14 @@ The tracer replaces public functions by name and reads per-layer metrics
 through them; a renamed or bypassed function silently zeroes a metric.
 """
 
+import ast
 import importlib.util
 import sys
 from pathlib import Path
 
 import numpy as np
 
+import idspipe
 from idspipe import classify, cli, data, discretize, evaluate, select
 from idspipe.config import ClassifierConfig, ExperimentConfig
 from idspipe.data import CONTINUOUS, DISCRETE, stratified_folds
@@ -17,6 +19,7 @@ from idspipe.data import CONTINUOUS, DISCRETE, stratified_folds
 from conftest import toy_dataset
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+PACKAGE = Path(idspipe.__file__).resolve().parent
 
 
 def load(name):
@@ -125,3 +128,54 @@ def test_fold_safe_cv_codes_each_column_once(monkeypatch):
     assert report.matrix.total == len(ds)
     # once per column, plus label codes: at most one per fit (k fits)
     assert len(calls) <= len(ds.schema) + k
+
+
+def used_names(tree: ast.Module) -> set[str]:
+    """Names a module reads, including those inside quoted annotations."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        annotations = []
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            every = args.posonlyargs + args.args + args.kwonlyargs
+            every += [a for a in (args.vararg, args.kwarg) if a is not None]
+            annotations = [a.annotation for a in every] + [node.returns]
+        elif isinstance(node, ast.AnnAssign):
+            annotations = [node.annotation]
+        for annotation in annotations:
+            for sub in ast.walk(annotation) if annotation is not None else ():
+                if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                    names |= used_names(ast.parse(sub.value, mode="eval"))
+    return names
+
+
+def test_no_unused_imports():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = used_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in used:
+                        unused.append(f"{path.name}:{node.lineno} {bound}")
+    assert unused == []
+
+
+def test_package_exports_resolve():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    exported = [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert len(exported) > 30
+    assert [name for name in exported if not hasattr(idspipe, name)] == []
