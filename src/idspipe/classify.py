@@ -16,8 +16,8 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .config import ClassifierConfig
-from .data import Coding, Dataset, check_discrete, vocab_lookup
-from .errors import SchemaError
+from .data import Dataset, check_discrete, vocab_lookup
+from .errors import DataError, SchemaError
 
 DEFAULT_SMOOTHING = 1.0
 DEFAULT_ROUNDS = 10
@@ -26,6 +26,11 @@ DEFAULT_ROUNDS = 10
 # first round that is no better than chance; both keep vote weights finite.
 ERROR_FLOOR = 1e-10
 MIN_VOTE_WEIGHT = 1e-10
+
+# Records scored per block: a block's score rows stay in cache while every
+# feature's table rows are added to them. Smaller blocks pay more numpy call
+# overhead per record.
+SCORE_BLOCK = 4096
 
 
 @dataclass(eq=False)
@@ -37,18 +42,17 @@ class NaiveBayesModel:
     priors: np.ndarray
     feature_values: tuple[tuple, ...]
     cond: tuple[np.ndarray, ...]  # per feature: (n_values + 1, n_classes)
+    # per feature: value text -> table row; models fitted on one training
+    # set share these, so they are built once per set
+    _rows: tuple[dict[str, int], ...] | None = field(default=None, repr=False)
     _log_priors: np.ndarray = field(init=False, repr=False)
     _log_cond: tuple[np.ndarray, ...] = field(init=False, repr=False)
-    _rows: tuple[dict[str, int], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         self._log_priors = np.log(self.priors)
         self._log_cond = tuple(np.log(c) for c in self.cond)
-        # values are matched by their CSV text form, so a model fitted on
-        # in-memory bins (ints) reads the same bins back from a dataset CSV
-        self._rows = tuple(
-            {str(v): i for i, v in enumerate(values)} for values in self.feature_values
-        )
+        if self._rows is None:
+            self._rows = _value_rows(self.feature_values)
 
     @property
     def n_features(self) -> int:
@@ -56,18 +60,43 @@ class NaiveBayesModel:
 
     def log_posteriors(self, ds: Dataset) -> np.ndarray:
         """Unnormalized log posterior matrix (records x classes)."""
+        return self.score_rows(self.record_rows(ds), len(ds))
+
+    def record_rows(self, ds: Dataset) -> list[np.ndarray]:
+        """Table row of every record, per feature.
+
+        Values are matched by their CSV text form, so a model fitted on
+        in-memory bins (ints) reads the same bins back from a dataset CSV;
+        values the model never saw take the reserved last row.
+        """
         if len(ds.schema) != self.n_features:
             raise SchemaError(
                 f"model has {self.n_features} features, dataset has {len(ds.schema)}"
             )
         coding = ds.coding()
-        scores = np.tile(self._log_priors, (len(ds), 1))
+        rows = []
         for f, (codes, vocab) in enumerate(zip(coding.columns, coding.vocabs)):
-            # table row of every vocabulary code; values the model never saw
-            # take the reserved last row
             index, unseen = self._rows[f], len(self.feature_values[f])
-            rows = np.asarray([index.get(str(v), unseen) for v in vocab], dtype=np.int64)
-            scores += self._log_cond[f][rows][codes]
+            lookup = np.asarray([index.get(str(v), unseen) for v in vocab], dtype=np.int64)
+            rows.append(_checked_rows(lookup, len(self.cond[f]), f)[codes])
+        return rows
+
+    def score_rows(self, rows: Sequence[np.ndarray], n: int) -> np.ndarray:
+        """Log prior plus every feature's log conditional for ``n`` records.
+
+        ``rows[f]`` holds each record's row in feature f's table and must lie
+        inside it: the code that builds row arrays checks them. Scores are
+        filled block by block, adding the features in order, so every element
+        sees the same additions as one whole-matrix pass.
+        """
+        scores = np.empty((n, len(self.labels)))
+        for start in range(0, n, SCORE_BLOCK):
+            block = scores[start : start + SCORE_BLOCK]
+            block[:] = self._log_priors
+            for table, feature_rows in zip(self._log_cond, rows):
+                block += table.take(
+                    feature_rows[start : start + SCORE_BLOCK], axis=0, mode="clip"
+                )
         return scores
 
     def to_payload(self) -> dict:
@@ -75,12 +104,9 @@ class NaiveBayesModel:
             "version": 1,
             "labels": list(self.labels),
             "smoothing": self.smoothing,
-            "priors": [float(p) for p in self.priors],
+            "priors": self.priors.tolist(),
             "features": [
-                {
-                    "values": list(values),
-                    "cond": [[float(p) for p in row] for row in table],
-                }
+                {"values": list(values), "cond": table.tolist()}
                 for values, table in zip(self.feature_values, self.cond)
             ],
         }
@@ -96,6 +122,47 @@ class NaiveBayesModel:
                 np.asarray(f["cond"], dtype=float) for f in payload["features"]
             ),
         )
+
+
+def _value_rows(feature_values: Sequence[tuple]) -> tuple[dict[str, int], ...]:
+    """Per feature: a value's CSV text form -> its table row."""
+    return tuple({str(v): i for i, v in enumerate(values)} for values in feature_values)
+
+
+def _checked_rows(rows: np.ndarray, n_rows: int, f: int) -> np.ndarray:
+    """``rows`` unchanged; raises if one lies outside a table of ``n_rows`` rows."""
+    if len(rows) and (rows.min() < 0 or rows.max() >= n_rows):
+        raise DataError(f"naive Bayes feature {f + 1} indexes past its {n_rows} table rows")
+    return rows
+
+
+@dataclass(frozen=True, eq=False)
+class _TrainingSet:
+    """The weight-free parts of a naive Bayes fit, computed once per training set.
+
+    Per feature: ``feature_values`` are the vocabulary values that occur, in
+    vocabulary order, and ``rows`` is every record's row in the fitted table
+    (the value's position in ``feature_values``).
+    """
+
+    labels: tuple[str, ...]
+    y: np.ndarray
+    feature_values: tuple[tuple, ...]
+    value_rows: tuple[dict[str, int], ...]
+    rows: tuple[np.ndarray, ...]
+
+    @classmethod
+    def of(cls, ds: Dataset, labels: tuple[str, ...]) -> "_TrainingSet":
+        coding = ds.coding()
+        y = _class_codes(ds, labels)
+        feature_values, rows = [], []
+        for f, (codes, vocab) in enumerate(zip(coding.columns, coding.vocabs)):
+            # a coding of a larger dataset may hold values absent from this one
+            present = np.bincount(codes, minlength=len(vocab)) > 0
+            feature_values.append(tuple(compress(vocab, present)))
+            row_of_code = np.cumsum(present) - 1
+            rows.append(_checked_rows(row_of_code[codes], len(feature_values[-1]) + 1, f))
+        return cls(labels, y, tuple(feature_values), _value_rows(feature_values), tuple(rows))
 
 
 def train_naive_bayes(
@@ -116,7 +183,7 @@ def train_naive_bayes(
     if len(ds) == 0 or w.sum() <= 0:
         raise ValueError("cannot train on zero total weight")
     labels = tuple(label_set) if label_set is not None else ds.label_set()
-    return _fit_naive_bayes(ds.coding(), _class_codes(ds, labels), w, labels, smoothing)
+    return _fit_naive_bayes(_TrainingSet.of(ds, labels), w, smoothing)
 
 
 def _class_codes(ds: Dataset, labels: tuple[str, ...]) -> np.ndarray:
@@ -129,40 +196,32 @@ def _class_codes(ds: Dataset, labels: tuple[str, ...]) -> np.ndarray:
     return y
 
 
-def _fit_naive_bayes(
-    coding: Coding,
-    y: np.ndarray,
-    w: np.ndarray,
-    labels: tuple[str, ...],
-    smoothing: float,
-) -> NaiveBayesModel:
-    """Smoothed tables over the vocabulary values that occur in ``coding``."""
+def _fit_naive_bayes(ts: _TrainingSet, w: np.ndarray, smoothing: float) -> NaiveBayesModel:
+    """Smoothed tables over the vocabulary values that occur in the training set."""
     # normalize to mean weight 1 so smoothing strength is scale-invariant
     w = w * (len(w) / w.sum())
     total = w.sum()
-    n_classes = len(labels)
-    class_mass = np.bincount(y, weights=w, minlength=n_classes)
+    n_classes = len(ts.labels)
+    class_mass = np.bincount(ts.y, weights=w, minlength=n_classes)
     priors = (class_mass + smoothing) / (total + smoothing * n_classes)
 
-    feature_values = []
     cond = []
-    for codes, vocab in zip(coding.columns, coding.vocabs):
-        counts = np.bincount(
-            codes * n_classes + y, weights=w, minlength=len(vocab) * n_classes
-        ).reshape(len(vocab), n_classes)
-        # a coding of a larger dataset may hold values absent from this one
-        present = np.bincount(codes, minlength=len(vocab)) > 0
-        n_values = int(present.sum())
-        counts = np.vstack([counts[present], np.zeros((1, n_classes))])  # unseen slot
-        table = (counts + smoothing) / (class_mass + smoothing * (n_values + 1))
-        feature_values.append(tuple(compress(vocab, present)))
-        cond.append(table)
+    for rows, values in zip(ts.rows, ts.feature_values):
+        n_rows = len(values) + 1  # the last row, the unseen slot, counts nothing
+        # each record's cell in the table, made per round: keeping every
+        # feature's cells for a whole boost costs more in fresh memory pages
+        # than this product costs each round
+        cells = rows * n_classes + ts.y
+        counts = np.bincount(cells, weights=w, minlength=n_rows * n_classes)
+        counts = counts.reshape(n_rows, n_classes)
+        cond.append((counts + smoothing) / (class_mass + smoothing * n_rows))
     return NaiveBayesModel(
-        labels=labels,
+        labels=ts.labels,
         smoothing=smoothing,
         priors=priors,
-        feature_values=tuple(feature_values),
+        feature_values=ts.feature_values,
         cond=tuple(cond),
+        _rows=ts.value_rows,
     )
 
 
@@ -259,13 +318,13 @@ def boost_rounds(
     if n == 0:
         raise ValueError("cannot boost an empty dataset")
     labels = tuple(label_set) if label_set is not None else ds.label_set()
-    coding = ds.coding()
-    y = _class_codes(ds, labels)
+    ts = _TrainingSet.of(ds, labels)
     weights = np.full(n, 1.0 / n)
     for t in range(rounds):
-        model = _fit_naive_bayes(coding, y, weights, labels, smoothing)
-        predicted = nb_predict_batch(model, ds)
-        mis = predicted != y
+        model = _fit_naive_bayes(ts, weights, smoothing)
+        # every round's tables put a training record on the same rows, so the
+        # rows found once score it as nb_predict_batch(model, ds) would
+        mis = model.score_rows(ts.rows, n).argmax(axis=1) != ts.y
         error = float(weights[mis].sum())
         if error >= 0.5:
             yield BoostRound(model, error, MIN_VOTE_WEIGHT, weights.copy(), t == 0, True)

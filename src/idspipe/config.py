@@ -7,7 +7,7 @@ CLI flag overrides exactly one key. See README for the documented schema.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Mapping
 
 from .data import ATTACK23, GRANULARITIES, json_text
@@ -117,23 +117,37 @@ class PipelineConfig:
 
     @classmethod
     def from_payload(cls, payload: Mapping) -> "PipelineConfig":
-        data = dict(payload)
+        """Config from its JSON object; a key no dataclass field names is an error.
+
+        ``experiment.candidates`` is accepted and ignored: files written while
+        MDLP still had that option hold it.
+        """
+        data = _fields_of(cls, dict(payload))
         if "input_path" not in data:
             raise ValueError("missing key 'input_path'")
         sample = data.get("sample")
-        experiment = data.get("experiment", {}) or {}
+        experiment = _fields_of(
+            ExperimentConfig, data.get("experiment"), "experiment.", frozenset({"candidates"})
+        )
+        selection = _fields_of(
+            SelectionConfig, experiment.get("selection"), "experiment.selection."
+        )
+        classifier = _fields_of(
+            ClassifierConfig, experiment.get("classifier"), "experiment.classifier."
+        )
         return cls(
             input_path=str(data["input_path"]),
             granularity=data.get("granularity", ATTACK23),
-            sample=None if sample is None else SampleConfig(**sample),
+            sample=(
+                None if sample is None
+                else SampleConfig(**_fields_of(SampleConfig, sample, "sample."))
+            ),
             experiment=ExperimentConfig(
                 discretization=experiment.get("discretization", "leaky"),
-                selection=SelectionConfig(**(experiment.get("selection", {}) or {})),
-                classifier=ClassifierConfig(
-                    **(experiment.get("classifier", {}) or {})
-                ),
+                selection=SelectionConfig(**selection),
+                classifier=ClassifierConfig(**classifier),
             ),
-            cv=CrossValConfig(**(data.get("cv", {}) or {})),
+            cv=CrossValConfig(**_fields_of(CrossValConfig, data.get("cv"), "cv.")),
             output_dir=data.get("output_dir", "run-artifacts"),
         )
 
@@ -144,3 +158,18 @@ class PipelineConfig:
         if "descriptor" in payload and "config" in payload.get("descriptor", {}):
             payload = payload["descriptor"]["config"]
         return cls.from_payload(payload)
+
+
+def _fields_of(dc, payload, path: str = "", ignored: frozenset[str] = frozenset()) -> dict:
+    """The keys of a config object, less ``ignored``; a key ``dc`` lacks is an error.
+
+    A missing or empty object reads as ``{}``. ``path`` prefixes key names in
+    errors (``"experiment."``).
+    """
+    payload = payload or {}
+    if not isinstance(payload, Mapping):
+        raise TypeError(f"{path.rstrip('.')} must be a JSON object")
+    unknown = sorted(set(payload) - {f.name for f in fields(dc)} - ignored)
+    if unknown:
+        raise ValueError(f"unknown key {path + unknown[0]!r}")
+    return {k: v for k, v in payload.items() if k not in ignored}

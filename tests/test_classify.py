@@ -20,7 +20,9 @@ from idspipe.classify import (
     train_naive_bayes,
 )
 from idspipe.config import ClassifierConfig
+from idspipe import classify
 from idspipe.data import DISCRETE, Dataset, FeatureSchema
+from idspipe.errors import DataError
 from idspipe.pipeline import load_model_payload, model_json
 
 from conftest import toy_dataset
@@ -223,6 +225,58 @@ class TestNbPredict:
         for i in range(len(ds)):
             [post] = nb_predict(model, one_row(ds, i))
             assert codes[i] == post.argmax()
+
+
+def unblocked_log_posteriors(model, ds):
+    """Log prior plus each feature's log conditional, one feature at a time."""
+    scores = np.tile(np.log(model.priors), (len(ds), 1))
+    for f, column in enumerate(ds.columns):
+        values = [str(v) for v in model.feature_values[f]]
+        rows = [values.index(str(v)) if str(v) in values else len(values) for v in column]
+        scores += np.log(model.cond[f])[rows]
+    return scores
+
+
+class TestScoringKernel:
+    @pytest.mark.parametrize("block, n", [(7, 30), (7, 7), (classify.SCORE_BLOCK, 4100)])
+    def test_blocked_scores_equal_unblocked_bit_for_bit(self, monkeypatch, block, n):
+        monkeypatch.setattr(classify, "SCORE_BLOCK", block)
+        rng = np.random.default_rng(n)
+        train = toy_dataset(
+            [rng.integers(0, 4, size=60).tolist(), list(rng.choice(["tcp", "udp"], size=60)),
+             rng.integers(0, 9, size=60).tolist()],
+            ["abc"[v] for v in rng.integers(0, 3, size=60)],
+        )
+        model = train_naive_bayes(train)
+        # values 4..5 and 9..10 never occur in training: reserved rows
+        test = toy_dataset(
+            [rng.integers(0, 6, size=n).tolist(), list(rng.choice(["tcp", "udp", "icmp"], size=n)),
+             rng.integers(0, 11, size=n).tolist()],
+            ["a"] * n,
+        )
+        scores = model.log_posteriors(test)
+        assert scores.shape == (n, 3)
+        assert np.array_equal(
+            scores.view(np.int64), unblocked_log_posteriors(model, test).view(np.int64)
+        )
+
+    def test_model_without_features_scores_its_priors(self):
+        model = train_naive_bayes(hand_dataset().project([]))
+        scores = model.log_posteriors(hand_dataset().project([]))
+        assert np.array_equal(scores, np.tile(np.log(model.priors), (4, 1)))
+
+    def test_corrupted_row_index_raises_instead_of_clipping(self):
+        model = train_naive_bayes(hand_dataset())
+        model._rows[0]["x"] = 3  # one past the reserved row of a 3-row table
+        with pytest.raises(DataError, match="feature 1"):
+            model.log_posteriors(hand_dataset())
+
+    def test_table_shorter_than_its_values_raises(self):
+        payload = train_naive_bayes(hand_dataset()).to_payload()
+        payload["features"][1]["cond"] = payload["features"][1]["cond"][:2]  # no unseen row
+        model = NaiveBayesModel.from_payload(payload)
+        with pytest.raises(DataError, match="feature 2"):
+            model.log_posteriors(query("x", "r"))
 
 
 class TestAdaBoost:

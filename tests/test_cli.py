@@ -245,6 +245,36 @@ class TestStageFailures:
         assert code == 1
         assert f"invalid config file {config}: missing key 'input_path'" in err
 
+    @pytest.mark.parametrize(
+        "payload, key",
+        [
+            ({"granularty": "category5"}, "granularty"),
+            ({"experiment": {"discretisation": "fold-safe"}}, "experiment.discretisation"),
+            ({"experiment": {"selection": {"methd": "ig"}}}, "experiment.selection.methd"),
+            ({"cv": {"k": 3, "folds": 3}}, "cv.folds"),
+        ],
+    )
+    def test_config_with_a_misspelled_key_names_its_path(
+        self, small_synth, tmp_path, capsys, payload, key
+    ):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"input_path": str(small_synth), **payload}))
+        capsys.readouterr()
+        code = run_cli("run", "--config", config, "--out", tmp_path / "o")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"invalid config file {config}: unknown key '{key}'" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_config_section_that_is_not_an_object_is_named(self, small_synth, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"input_path": str(small_synth), "experiment": [1]}))
+        capsys.readouterr()
+        code = run_cli("run", "--config", config, "--out", tmp_path / "o")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"invalid config file {config}: experiment must be a JSON object" in err
+
 
 class TestModelArtifact:
     @pytest.mark.parametrize("boost", ["--boost", "--no-boost"])

@@ -5,15 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from idspipe.config import ClassifierConfig, ExperimentConfig, SelectionConfig
 from idspipe.data import (
     ATTACK23,
     ATTACK_CATEGORY,
     CATEGORY5,
     CONTINUOUS,
     DISCRETE,
+    Dataset,
     FoldPlan,
     NSLKDD_SCHEMA,
     REFERENCE_ATTACK_COUNTS,
+    json_text,
     map_labels,
     parse_records,
     reference_sample_counts,
@@ -21,7 +24,8 @@ from idspipe.data import (
     serialize_records,
     stratified_folds,
 )
-from idspipe.errors import ParseError, SamplingError, UnknownLabelError
+from idspipe.errors import ParseError, SamplingError, SchemaError, UnknownLabelError
+from idspipe.evaluate import cross_validate
 
 from conftest import toy_dataset
 
@@ -275,3 +279,100 @@ class TestMatchDistribution:
         assert sum(counts.values()) == 62984
         assert counts["neptune"] == 20750
         assert counts["spy"] == 1
+
+
+# JSON values of every kind ``json_text`` formats or hands to ``json.dumps``.
+json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()  # NaN and infinities included
+    | st.sampled_from([-0.0, 0.0, 1e-300, 1e300])
+    | st.floats().map(np.float64)
+    | st.text()
+)
+json_values = st.recursive(
+    json_scalars | st.lists(st.floats(allow_nan=False, allow_infinity=False)),
+    lambda children: st.lists(children, max_size=5)
+    | st.lists(children, max_size=5).map(tuple)
+    | st.dictionaries(st.text(max_size=5), children, max_size=5)
+    | st.dictionaries(st.integers(), children, max_size=3),
+    max_leaves=30,
+)
+
+
+class TestJsonText:
+    @given(json_values)
+    @settings(max_examples=300, deadline=None)
+    def test_equals_indented_json_dumps(self, value):
+        assert json_text(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+    def test_named_cases(self):
+        for value in (
+            {},
+            [],
+            {"a": [], "b": {}, "c": ()},
+            {"é": "ü\n\"", "ascii": "x"},
+            [1, True, None, False, -0.0, 1.5],
+            {"t": [[0.25, 0.5], [np.float64(0.1)]]},
+            {"nan": [1.0, float("nan")], "inf": float("inf"), "-inf": [-float("inf")]},
+            {1: "int key", 2: [0.5]},
+        ):
+            assert json_text(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+    def test_numpy_int_is_not_json(self):
+        with pytest.raises(TypeError):
+            json_text({"n": np.int64(1)})
+        with pytest.raises(TypeError):
+            json_text([0.5, np.int64(1)])
+
+
+@pytest.fixture
+def validated(monkeypatch):
+    """Every dataset that runs ``Dataset.__post_init__`` from here on, in order."""
+    validate = Dataset.__post_init__
+    seen = []
+
+    def recorded(self):
+        seen.append(self)
+        validate(self)
+
+    monkeypatch.setattr(Dataset, "__post_init__", recorded)
+    return seen
+
+
+class TestDerivedDatasets:
+    def test_cross_validation_validates_no_derived_dataset(self, validated):
+        labels = ["a", "b", "c"] * 12
+        ds = toy_dataset(
+            [labels, [float(i % 5) for i in range(36)], list(range(36))],
+            labels,
+            kinds=[DISCRETE, CONTINUOUS, DISCRETE],
+        )
+        validated.clear()
+        config = ExperimentConfig(
+            discretization="fold-safe",
+            selection=SelectionConfig(method="cfs-greedy"),
+            classifier=ClassifierConfig(boost=True, rounds=3),
+        )
+        report = cross_validate(ds, config, k=4, seed=0)
+        assert report.matrix.total == len(ds)
+        # every fold's subsets, projections and recodings skip validation
+        assert validated == []
+
+    def test_direct_construction_and_label_mapping_still_validate(self, validated):
+        mapped = map_labels(toy_dataset([["x", "y"]], ["normal", "smurf"]))
+        mapped.subset([1]).project([1])
+        assert [ds.granularity for ds in validated] == [ATTACK23, CATEGORY5]
+        with pytest.raises(SchemaError):
+            toy_dataset([[1.0, float("nan")]], ["a", "b"], kinds=[CONTINUOUS])
+
+    def test_derived_dataset_keeps_its_parent_intact(self):
+        ds = toy_dataset([["x", "y", "z"], [1, 2, 3]], ["a", "b", "a"])
+        ds.coding()
+        sub = ds.subset([2, 0])
+        proj = ds.project([2])
+        assert list(sub.labels) == ["a", "a"] and list(sub.column(2)) == [3, 1]
+        assert len(proj.schema) == 1 and list(proj.column(1)) == [1, 2, 3]
+        assert list(ds.column(1)) == ["x", "y", "z"] and len(ds.schema) == 2
+        assert sub.coding() is not ds.coding() and proj.coding().vocabs == (ds.coding().vocabs[1],)
