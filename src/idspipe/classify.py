@@ -73,9 +73,8 @@ class NaiveBayesModel:
             raise SchemaError(
                 f"model has {self.n_features} features, dataset has {len(ds.schema)}"
             )
-        coding = ds.coding()
         rows = []
-        for f, (codes, vocab) in enumerate(zip(coding.columns, coding.vocabs)):
+        for f, (codes, vocab) in enumerate(zip(ds.codes, ds.vocabs)):
             index, unseen = self._rows[f], len(self.feature_values[f])
             lookup = np.asarray([index.get(str(v), unseen) for v in vocab], dtype=np.int64)
             rows.append(_checked_rows(lookup, len(self.cond[f]), f)[codes])
@@ -153,11 +152,10 @@ class _TrainingSet:
 
     @classmethod
     def of(cls, ds: Dataset, labels: tuple[str, ...]) -> "_TrainingSet":
-        coding = ds.coding()
         y = _class_codes(ds, labels)
         feature_values, rows = [], []
-        for f, (codes, vocab) in enumerate(zip(coding.columns, coding.vocabs)):
-            # a coding of a larger dataset may hold values absent from this one
+        for f, (codes, vocab) in enumerate(zip(ds.codes, ds.vocabs)):
+            # a vocabulary may hold values no record of this dataset takes
             present = np.bincount(codes, minlength=len(vocab)) > 0
             feature_values.append(tuple(compress(vocab, present)))
             row_of_code = np.cumsum(present) - 1
@@ -188,10 +186,9 @@ def train_naive_bayes(
 
 def _class_codes(ds: Dataset, labels: tuple[str, ...]) -> np.ndarray:
     """Position of every record's label in the declared class order."""
-    coding = ds.coding()
-    y = vocab_lookup(coding.label_vocab, labels)[coding.labels]
+    y = vocab_lookup(ds.label_vocab, labels)[ds.label_codes]
     if (y < 0).any():
-        missing = ds.labels[int(np.argmax(y < 0))]
+        missing = ds.label_vocab[ds.label_codes[int(np.argmax(y < 0))]]
         raise ValueError(f"label {missing!r} not in the declared label set")
     return y
 

@@ -17,15 +17,7 @@ import click
 import numpy as np
 
 from . import classify, data, discretize, pipeline, select
-from .config import (
-    DEFAULT_HYBRID_ALPHA,
-    ClassifierConfig,
-    CrossValConfig,
-    ExperimentConfig,
-    PipelineConfig,
-    SampleConfig,
-    SelectionConfig,
-)
+from .config import DEFAULT_HYBRID_ALPHA, ClassifierConfig, PipelineConfig, SampleConfig
 from .errors import DataError, StageError
 from .evaluate import build_report
 from .pipeline import load_model_payload, model_json, reproduce_tables, run_experiment
@@ -130,7 +122,9 @@ def train_cmd(dataset_path, selection_path, boost, rounds, smoothing, out):
     ds = data.read_dataset(_resolve_input(dataset_path))
     features = list(range(1, len(ds.schema) + 1))
     if selection_path:
-        result = select.SelectionResult.from_json(Path(selection_path).read_text())
+        result = data.read_json(
+            selection_path, select.SelectionResult.from_payload, "selection file"
+        )
         features = list(result.subset.indices)
         ds = ds.project(features)
     config = ClassifierConfig(boost=boost, rounds=rounds, smoothing=smoothing)
@@ -148,14 +142,10 @@ def train_cmd(dataset_path, selection_path, boost, rounds, smoothing, out):
 def eval_cmd(dataset_path, model_path, out):
     """Evaluate a trained model on a held-out discrete dataset."""
     ds = data.read_dataset(_resolve_input(dataset_path))
-    try:
-        payload = json.loads(Path(model_path).read_text())
-    except json.JSONDecodeError as exc:
-        raise DataError(f"model file {model_path} is not valid JSON: {exc}") from exc
-    kind, model, features = load_model_payload(payload)
+    kind, model, features = data.read_json(model_path, load_model_payload, "model file")
     codes = classify.ensemble_predict_batch(model, ds.project(features))
     preds = np.asarray(model.labels, dtype=object)[codes]
-    label_set = sorted(set(model.labels) | set(ds.labels.tolist()))
+    label_set = sorted(set(model.labels) | set(ds.label_set()))
     report = build_report(
         ds.labels,
         preds,
@@ -167,36 +157,38 @@ def eval_cmd(dataset_path, model_path, out):
     click.echo(report.format_table())
 
 
+def _given(**values) -> dict:
+    """The flag values the user gave: those that are not None."""
+    return {k: v for k, v in values.items() if v is not None}
+
+
 def _apply_overrides(config: PipelineConfig, **kw) -> PipelineConfig:
+    """``config`` with each given flag in place of the key it overrides."""
     exp = config.experiment
-    selection = SelectionConfig(
-        method=kw["method"] or exp.selection.method,
-        alpha=exp.selection.alpha if kw["alpha"] is None else kw["alpha"],
-    )
-    classifier = ClassifierConfig(
-        boost=exp.classifier.boost if kw["boost"] is None else kw["boost"],
-        rounds=exp.classifier.rounds if kw["rounds"] is None else kw["rounds"],
-        smoothing=exp.classifier.smoothing,
-    )
     sample = config.sample
     if kw["sample"] is not None:
-        sample = None if kw["sample"] == "none" else SampleConfig(
-            target=kw["sample"], seed=kw["seed"] if kw["seed"] is not None else 0
+        sample = None if kw["sample"] == "none" else dataclasses.replace(
+            sample or SampleConfig(), target=kw["sample"], **_given(seed=kw["seed"])
         )
-    return PipelineConfig(
-        input_path=kw["input_path"] or config.input_path,
-        granularity=kw["granularity"] or config.granularity,
+    return dataclasses.replace(
+        config,
         sample=sample,
-        experiment=ExperimentConfig(
-            discretization=kw["discretization"] or exp.discretization,
-            selection=selection,
-            classifier=classifier,
+        experiment=dataclasses.replace(
+            exp,
+            selection=dataclasses.replace(
+                exp.selection, **_given(method=kw["method"], alpha=kw["alpha"])
+            ),
+            classifier=dataclasses.replace(
+                exp.classifier, **_given(boost=kw["boost"], rounds=kw["rounds"])
+            ),
+            **_given(discretization=kw["discretization"]),
         ),
-        cv=CrossValConfig(
-            k=config.cv.k if kw["k"] is None else kw["k"],
-            seed=config.cv.seed if kw["seed"] is None else kw["seed"],
+        cv=dataclasses.replace(config.cv, **_given(k=kw["k"], seed=kw["seed"])),
+        **_given(
+            input_path=kw["input_path"],
+            granularity=kw["granularity"],
+            output_dir=kw["output_dir"],
         ),
-        output_dir=kw["output_dir"] or config.output_dir,
     )
 
 

@@ -10,14 +10,15 @@ from __future__ import annotations
 import copy
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from itertools import compress
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .errors import ParseError, SamplingError, SchemaError, UnknownLabelError
+from .errors import DataError, ParseError, SamplingError, SchemaError, UnknownLabelError
 
 CONTINUOUS = "continuous"
 DISCRETE = "discrete"
@@ -277,12 +278,19 @@ def encode(values) -> tuple[np.ndarray, tuple]:
     """Integer codes of discrete values and their sorted vocabulary.
 
     ``vocab[codes[i]] == values[i]``; vocabulary entries are Python scalars.
-    Selection, classification and evaluation take all their codes from here.
+    Every dataset takes its codes from here, once per column, when it is built.
     """
-    vocab, codes = np.unique(np.asarray(values), return_inverse=True)
-    return codes.astype(np.int64), tuple(
-        v.item() if isinstance(v, np.generic) else v for v in vocab.tolist()
-    )
+    values = np.asarray(values)
+    if values.dtype != object:
+        vocab, codes = np.unique(values, return_inverse=True)
+        return codes.astype(np.int64), tuple(vocab.tolist())
+    # np.unique would sort every record's Python object, one comparison call
+    # at a time; sorting only the distinct values gives the same vocabulary
+    items = values.tolist()
+    vocab = sorted(set(items))
+    index = {v: i for i, v in enumerate(vocab)}
+    codes = np.fromiter(map(index.__getitem__, items), dtype=np.int64, count=len(items))
+    return codes, tuple(v.item() if isinstance(v, np.generic) else v for v in vocab)
 
 
 def vocab_lookup(vocab, target) -> np.ndarray:
@@ -291,78 +299,81 @@ def vocab_lookup(vocab, target) -> np.ndarray:
     return np.asarray([index.get(v, -1) for v in vocab], dtype=np.int64)
 
 
-@dataclass(frozen=True, eq=False)
-class Coding:
-    """Integer codes of every column and of the labels, over sorted vocabularies.
-
-    ``columns[f]`` indexes ``vocabs[f]`` (feature f+1) and ``labels`` indexes
-    ``label_vocab``. Codings of record subsets keep the full vocabularies, so
-    a vocabulary value need not occur in every subset.
-    """
-
-    columns: tuple[np.ndarray, ...]
-    vocabs: tuple[tuple, ...]
-    labels: np.ndarray
-    label_vocab: tuple[str, ...]
-
-    def subset(self, idx: np.ndarray) -> "Coding":
-        return Coding(
-            tuple(c[idx] for c in self.columns), self.vocabs, self.labels[idx], self.label_vocab
-        )
-
-    def project(self, kept: list[int]) -> "Coding":
-        return Coding(
-            tuple(self.columns[i - 1] for i in kept),
-            tuple(self.vocabs[i - 1] for i in kept),
-            self.labels,
-            self.label_vocab,
-        )
-
-
 @dataclass(eq=False)
 class Dataset:
-    """Column-major table of records against a fixed schema.
+    """Records against a fixed schema, held as their integer coding.
+
+    ``codes[f]`` indexes the sorted vocabulary ``vocabs[f]`` of feature f+1,
+    so its values are ``vocabs[f][codes[f]]``; continuous vocabularies are
+    floats in ascending order. ``label_codes`` index the sorted
+    ``label_vocab`` the same way. :meth:`from_columns` encodes raw values.
+    Subsets and projections keep the full vocabularies, so a vocabulary
+    value need not occur in every dataset that holds it.
 
     Treat instances as immutable: operations return new datasets and may
-    share column arrays with their inputs.
+    share arrays with their inputs.
     """
 
     schema: FeatureSchema
-    columns: tuple[np.ndarray, ...]
-    labels: np.ndarray
+    codes: tuple[np.ndarray, ...]
+    vocabs: tuple[tuple, ...]
+    label_codes: np.ndarray
+    label_vocab: tuple[str, ...]
     weights: np.ndarray
     granularity: str = ATTACK23
-    _coding: Coding | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.granularity not in GRANULARITIES:
             raise ValueError(f"unknown granularity {self.granularity!r}")
-        if len(self.columns) != len(self.schema):
+        if len(self.codes) != len(self.schema) or len(self.vocabs) != len(self.schema):
             raise SchemaError(
-                f"expected {len(self.schema)} columns, got {len(self.columns)}"
+                f"expected {len(self.schema)} columns, got {len(self.codes)}"
             )
-        n = len(self.labels)
-        for idx, col in enumerate(self.columns, 1):
-            if len(col) != n:
-                raise SchemaError(f"column {idx} length {len(col)} != {n} records")
-            if self.schema.kind(idx) == CONTINUOUS and len(col):
-                values = col if col.dtype.kind == "f" else col.astype(float)
-                if not np.isfinite(values).all():
-                    raise SchemaError(
-                        f"feature {idx} has non-finite continuous values"
-                    )
+        n = len(self.label_codes)
+        for idx, (codes, vocab) in enumerate(zip(self.codes, self.vocabs), 1):
+            if len(codes) != n:
+                raise SchemaError(f"column {idx} length {len(codes)} != {n} records")
+            if self.schema.kind(idx) == CONTINUOUS and not np.isfinite(
+                np.asarray(vocab, dtype=float)
+            ).all():
+                raise SchemaError(f"feature {idx} has non-finite continuous values")
         if len(self.weights) != n:
             raise SchemaError("weights length does not match records")
         if len(self.weights) and (np.asarray(self.weights) < 0).any():
             raise ValueError("record weights must be non-negative")
         if self.granularity == CATEGORY5:
-            allowed = set(CATEGORIES) | {NORMAL}
-            bad = sorted(set(self.labels.tolist()) - allowed)
+            bad = sorted(set(self.label_vocab) - {NORMAL, *CATEGORIES})
             if bad:
                 raise UnknownLabelError(f"labels outside the 5-class set: {bad}")
 
+    @classmethod
+    def from_columns(
+        cls, schema: FeatureSchema, columns, labels, weights, granularity: str = ATTACK23
+    ) -> "Dataset":
+        """Encode raw columns (in schema order) and labels once each.
+
+        Continuous columns are coded by numeric value; adding 0.0 turns -0.0,
+        which equals 0.0, into 0.0, so both zeros are written back as ``0.0``.
+        """
+        if len(columns) != len(schema):
+            raise SchemaError(f"expected {len(schema)} columns, got {len(columns)}")
+        coded = [
+            encode(np.asarray(col, dtype=float) + 0.0 if kind == CONTINUOUS else col)
+            for col, (_, kind) in zip(columns, schema.features)
+        ]
+        label_codes, label_vocab = encode(labels)
+        return cls(
+            schema,
+            tuple(c for c, _ in coded),
+            tuple(v for _, v in coded),
+            label_codes,
+            label_vocab,
+            np.asarray(weights, dtype=float),
+            granularity,
+        )
+
     def __len__(self) -> int:
-        return len(self.labels)
+        return len(self.label_codes)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dataset):
@@ -374,55 +385,48 @@ class Dataset:
             and np.array_equal(self.labels, other.labels)
             and np.allclose(self.weights, other.weights)
             and all(
-                np.array_equal(a, b) for a, b in zip(self.columns, other.columns)
+                np.array_equal(self.column(i), other.column(i))
+                for i in range(1, len(self.schema) + 1)
             )
         )
 
     def column(self, index: int) -> np.ndarray:
-        """Column values for a 1-based feature index."""
-        return self.columns[index - 1]
+        """Values of a 1-based feature, decoded: floats if continuous."""
+        dtype = float if self.schema.kind(index) == CONTINUOUS else object
+        return np.asarray(self.vocabs[index - 1], dtype=dtype)[self.codes[index - 1]]
 
-    def coding(self) -> Coding:
-        """Integer coding of all columns and the labels, computed once.
+    @property
+    def labels(self) -> np.ndarray:
+        """Every record's label, decoded."""
+        return np.asarray(self.label_vocab, dtype=object)[self.label_codes]
 
-        Continuous columns are coded by numeric value, so their vocabularies
-        ascend. Subsets, projections and recodings of a coded dataset carry
-        its codes instead of encoding their columns again.
-        """
-        if self._coding is None:
-            columns = [
-                encode(col.astype(float, copy=False) if kind == CONTINUOUS else col)
-                for col, (_, kind) in zip(self.columns, self.schema.features)
-            ]
-            labels, label_vocab = encode(self.labels)
-            self._coding = Coding(
-                tuple(c for c, _ in columns), tuple(v for _, v in columns), labels, label_vocab
-            )
-        return self._coding
-
-    def _derive(self, coding: Coding | None, **changes) -> "Dataset":
-        """A copy with ``changes`` applied and ``coding`` attached.
+    def _derive(self, **changes) -> "Dataset":
+        """A copy with ``changes`` applied.
 
         Skips ``__post_init__``: subsets, projections and recodings of a
         validated dataset keep every property it checks.
         """
         derived = copy.copy(self)
-        vars(derived).update(changes, _coding=coding)
+        vars(derived).update(changes)
         return derived
 
+    def _label_counts(self) -> np.ndarray:
+        return np.bincount(self.label_codes, minlength=len(self.label_vocab))
+
     def label_set(self) -> tuple[str, ...]:
-        return tuple(sorted(set(self.labels.tolist())))
+        """The labels records take, sorted."""
+        return tuple(compress(self.label_vocab, self._label_counts()))
 
     def class_counts(self) -> dict[str, int]:
-        values, counts = np.unique(self.labels, return_counts=True)
-        return {str(v): int(c) for v, c in zip(values, counts)}
+        return {
+            str(v): int(c) for v, c in zip(self.label_vocab, self._label_counts()) if c
+        }
 
     def subset(self, row_indices) -> "Dataset":
         idx = np.asarray(row_indices, dtype=np.int64)
         return self._derive(
-            None if self._coding is None else self._coding.subset(idx),
-            columns=tuple(col[idx] for col in self.columns),
-            labels=self.labels[idx],
+            codes=tuple(c[idx] for c in self.codes),
+            label_codes=self.label_codes[idx],
             weights=self.weights[idx],
         )
 
@@ -433,9 +437,9 @@ class Dataset:
             if not 1 <= i <= len(self.schema):
                 raise SchemaError(f"feature index {i} outside schema")
         return self._derive(
-            None if self._coding is None else self._coding.project(kept),
             schema=FeatureSchema(tuple(self.schema.features[i - 1] for i in kept)),
-            columns=tuple(self.columns[i - 1] for i in kept),
+            codes=tuple(self.codes[i - 1] for i in kept),
+            vocabs=tuple(self.vocabs[i - 1] for i in kept),
         )
 
     def recode(
@@ -443,22 +447,13 @@ class Dataset:
     ) -> "Dataset":
         """Replace 1-based columns by integer codes over the given vocabularies.
 
-        ``coded[i] = (codes, vocab)`` makes ``codes`` column i, with values
-        ``vocab[codes]``; a vocabulary may hold values no record takes. A
-        coded dataset keeps its coding with those columns swapped in.
+        ``coded[i] = (codes, vocab)`` makes column i's values ``vocab[codes]``;
+        a vocabulary may hold values no record takes.
         """
-        columns = list(self.columns)
-        for i, (codes, _) in coded.items():
-            columns[i - 1] = codes
-        coding = None
-        if self._coding is not None:
-            code_columns, vocabs = list(self._coding.columns), list(self._coding.vocabs)
-            for i, (codes, vocab) in coded.items():
-                code_columns[i - 1], vocabs[i - 1] = codes, vocab
-            coding = Coding(
-                tuple(code_columns), tuple(vocabs), self._coding.labels, self._coding.label_vocab
-            )
-        return self._derive(coding, schema=schema, columns=tuple(columns))
+        codes, vocabs = list(self.codes), list(self.vocabs)
+        for i, (c, vocab) in coded.items():
+            codes[i - 1], vocabs[i - 1] = c, vocab
+        return self._derive(schema=schema, codes=tuple(codes), vocabs=tuple(vocabs))
 
 
 def parse_records(lines: Iterable[str], schema: FeatureSchema = NSLKDD_SCHEMA) -> Dataset:
@@ -514,13 +509,8 @@ def parse_records(lines: Iterable[str], schema: FeatureSchema = NSLKDD_SCHEMA) -
             columns.append(col)
         else:
             columns.append(np.asarray(raw, dtype=object))
-    return Dataset(
-        schema=schema,
-        columns=tuple(columns),
-        labels=labels,
-        weights=np.ones(len(labels), dtype=float),
-        granularity=ATTACK23,
-    )
+    del rows, transposed  # freed before encoding, which would add to the peak memory
+    return Dataset.from_columns(schema, columns, labels, np.ones(len(labels)))
 
 
 def _format_value(value) -> str:
@@ -530,11 +520,34 @@ def _format_value(value) -> str:
 
 
 def serialize_records(ds: Dataset) -> Iterator[str]:
-    """Emit one CSV line per record (42 fields; no difficulty column)."""
-    for i in range(len(ds)):
-        fields = [_format_value(col[i]) for col in ds.columns]
-        fields.append(str(ds.labels[i]))
+    """Emit one CSV line per record (42 fields; no difficulty column).
+
+    Each vocabulary value is formatted once; the codes pick the texts.
+    """
+    texts = [
+        np.asarray([_format_value(v) for v in vocab], dtype=object)[codes].tolist()
+        for codes, vocab in zip((*ds.codes, ds.label_codes), (*ds.vocabs, ds.label_vocab))
+    ]
+    for fields in zip(*texts):
         yield ",".join(fields)
+
+
+def read_json(path, decode, noun: str):
+    """``decode(payload)`` of the JSON file at ``path``.
+
+    A file that is not JSON, or whose payload lacks a key ``decode`` reads or
+    has the wrong shape, raises DataError naming ``noun`` and the file.
+    """
+    try:
+        payload = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{noun} {path} is not valid JSON: {exc}") from exc
+    try:
+        return decode(payload)
+    except KeyError as exc:
+        raise DataError(f"{noun} {path} is missing key {exc.args[0]!r}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise DataError(f"malformed {noun} {path}: {exc}") from exc
 
 
 def read_dataset(path) -> Dataset:
@@ -544,13 +557,15 @@ def read_dataset(path) -> Dataset:
     schema = NSLKDD_SCHEMA
     granularity = ATTACK23
     if sidecar.exists():
-        meta = json.loads(sidecar.read_text())
-        schema = FeatureSchema.from_payload(meta["schema"])
-        granularity = meta["granularity"]
+        schema, granularity = read_json(
+            sidecar,
+            lambda meta: (FeatureSchema.from_payload(meta["schema"]), meta["granularity"]),
+            "schema sidecar",
+        )
     with open(path, "r", encoding="utf-8") as fh:
         ds = parse_records(fh, schema=schema)
     if granularity != ATTACK23:
-        ds = Dataset(ds.schema, ds.columns, ds.labels, ds.weights, granularity)
+        ds = replace(ds, granularity=granularity)
     return ds
 
 
@@ -573,20 +588,17 @@ def map_labels(ds: Dataset, target: str = CATEGORY5) -> Dataset:
             f"can only map {ATTACK23} -> {CATEGORY5}, "
             f"not {ds.granularity} -> {target}"
         )
-    unknown = sorted(
-        {
-            str(lbl)
-            for lbl in set(ds.labels.tolist())
-            if lbl != NORMAL and lbl not in ATTACK_CATEGORY
-        }
-    )
+    present = ds.label_set()
+    unknown = [str(lbl) for lbl in present if lbl != NORMAL and lbl not in ATTACK_CATEGORY]
     if unknown:
         raise UnknownLabelError(f"unknown attack labels: {', '.join(unknown)}")
-    mapped = np.asarray(
-        [lbl if lbl == NORMAL else ATTACK_CATEGORY[lbl] for lbl in ds.labels],
-        dtype=object,
+    category = {lbl: lbl if lbl == NORMAL else ATTACK_CATEGORY[lbl] for lbl in present}
+    vocab = tuple(sorted(set(category.values())))
+    # labels no record takes have no category, and no code points at them
+    category_of = vocab_lookup([category.get(lbl) for lbl in ds.label_vocab], vocab)
+    return Dataset(
+        ds.schema, ds.codes, ds.vocabs, category_of[ds.label_codes], vocab, ds.weights, CATEGORY5
     )
-    return Dataset(ds.schema, ds.columns, mapped, ds.weights, CATEGORY5)
 
 
 @dataclass(frozen=True)
@@ -628,8 +640,8 @@ def stratified_folds(ds: Dataset, k: int, seed: int) -> FoldPlan:
     rng = np.random.default_rng(seed)
     assignments = np.empty(len(ds), dtype=np.int64)
     offset = 0
-    for label in sorted(set(ds.labels.tolist())):
-        idx = np.flatnonzero(ds.labels == label)
+    for code in np.flatnonzero(ds._label_counts()).tolist():  # in label order
+        idx = np.flatnonzero(ds.label_codes == code)
         idx = idx[rng.permutation(len(idx))]
         assignments[idx] = (offset + np.arange(len(idx))) % k
         offset += len(idx)
@@ -645,12 +657,13 @@ def sample_indices(
     excluded. ``ds.subset`` of the result is the sample.
     """
     rng = np.random.default_rng(seed)
+    code_of = {label: code for code, label in enumerate(ds.label_vocab)}
     chosen: list[np.ndarray] = []
     for label in sorted(target_counts):
         want = int(target_counts[label])
         if want < 0:
             raise SamplingError(f"negative target count for label {label!r}")
-        idx = np.flatnonzero(ds.labels == label)
+        idx = np.flatnonzero(ds.label_codes == code_of.get(label, -1))
         if want > len(idx):
             raise SamplingError(
                 f"label {label!r}: requested {want} records but only "

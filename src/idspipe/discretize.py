@@ -204,17 +204,16 @@ def fit_discretizer(train: Dataset) -> DiscretizationModel:
     """Fit MDL cut points for every continuous feature against the labels."""
     if len(train) == 0:
         raise ValueError("cannot fit a discretizer on an empty dataset")
-    coding = train.coding()
     # Class codes over the classes of the training rows only, as
     # encode(train.labels) gives them: a class column of zeros would change
     # the low bits of the MDLP entropy sums.
-    present = np.bincount(coding.labels, minlength=len(coding.label_vocab)) > 0
-    y = (np.cumsum(present) - 1)[coding.labels]
+    present = np.bincount(train.label_codes, minlength=len(train.label_vocab)) > 0
+    y = (np.cumsum(present) - 1)[train.label_codes]
     n_classes = int(present.sum())
     cut_lists = []
     for idx in train.schema.continuous_indices:
-        vocab = np.asarray(coding.vocabs[idx - 1], dtype=float)
-        cuts = _mdlp_cuts(coding.columns[idx - 1], vocab, y, n_classes)
+        vocab = np.asarray(train.vocabs[idx - 1], dtype=float)
+        cuts = _mdlp_cuts(train.codes[idx - 1], vocab, y, n_classes)
         cut_lists.append(CutPointList(idx, tuple(cuts)))
     return DiscretizationModel(schema=train.schema, cut_lists=tuple(cut_lists))
 
@@ -222,14 +221,16 @@ def fit_discretizer(train: Dataset) -> DiscretizationModel:
 def apply_discretizer(model: DiscretizationModel, ds: Dataset) -> Dataset:
     """Replace continuous values by bin indices; output is fully discrete.
 
-    The bins are the codes of a binned column, over the vocabulary of every
-    bin number, so a coded ``ds`` passes its coding on without encoding.
+    Each vocabulary value is binned once, and the codes pick the bins. The
+    bins are the codes of a binned column, over the vocabulary of every bin
+    number.
     """
     if ds.schema != model.schema:
         raise SchemaError("dataset schema does not match the discretization model")
     binned = {}
     for cpl in model.cut_lists:
-        col = ds.column(cpl.feature_index).astype(float)
-        bins = np.searchsorted(np.asarray(cpl.cuts), col, side="right").astype(np.int64)
-        binned[cpl.feature_index] = (bins, tuple(range(cpl.n_bins)))
+        i = cpl.feature_index
+        vocab = np.asarray(ds.vocabs[i - 1], dtype=float)
+        bins = np.searchsorted(np.asarray(cpl.cuts), vocab, side="right").astype(np.int64)
+        binned[i] = (bins[ds.codes[i - 1]], tuple(range(cpl.n_bins)))
     return ds.recode(ds.schema.all_discrete(), binned)

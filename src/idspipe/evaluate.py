@@ -54,13 +54,13 @@ class ConfusionMatrix:
         return cls(labels=labels, counts=counts)
 
 
-def _label_codes(values, labels: tuple[str, ...]) -> np.ndarray:
-    codes, vocab = encode(values)
-    lookup = vocab_lookup(vocab, labels)
-    if (lookup < 0).any():
-        missing = vocab[int(np.argmax(lookup < 0))]
+def _label_codes(codes, vocab, labels: tuple[str, ...]) -> np.ndarray:
+    """Position in ``labels`` of every coded value ``vocab[codes]``."""
+    positions = vocab_lookup(vocab, labels)[codes]
+    if (positions < 0).any():
+        missing = vocab[codes[int(np.argmax(positions < 0))]]
         raise UnknownLabelError(f"label {missing!r} not in label set")
-    return lookup[codes]
+    return positions
 
 
 def confusion(truths, preds, label_set: Sequence[str]) -> ConfusionMatrix:
@@ -71,7 +71,7 @@ def confusion(truths, preds, label_set: Sequence[str]) -> ConfusionMatrix:
     if len(truths) != len(preds):
         raise ValueError("truths and predictions differ in length")
     return ConfusionMatrix.from_codes(
-        _label_codes(truths, labels), _label_codes(preds, labels), labels
+        _label_codes(*encode(truths), labels), _label_codes(*encode(preds), labels), labels
     )
 
 
@@ -276,7 +276,6 @@ def cross_validate_plan(
         if fitted is None:
             fitted = fit_preprocessing(ds, config)
         _, selection, reduced = fitted
-        reduced.coding()  # coded once; the folds slice these codes
         for fold in range(plan.k):
             train_idx = plan.train_indices(fold)
             test_idx = plan.test_indices(fold)
@@ -292,7 +291,6 @@ def cross_validate_plan(
             "features": list(selection.subset.indices),
         }
     elif config.discretization == "fold-safe":
-        ds.coding()  # coded once; every fold's fits and transforms slice these codes
         for fold in range(plan.k):
             train_idx = plan.train_indices(fold)
             test_idx = plan.test_indices(fold)
@@ -325,5 +323,6 @@ def cross_validate_plan(
         },
         "cv": {"k": plan.k, "seed": seed},
     }
-    matrix = ConfusionMatrix.from_codes(_label_codes(ds.labels, label_set), preds, label_set)
+    truths = _label_codes(ds.label_codes, ds.label_vocab, label_set)
+    matrix = ConfusionMatrix.from_codes(truths, preds, label_set)
     return EvaluationReport.from_matrix(matrix, descriptor)

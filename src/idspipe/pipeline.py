@@ -30,6 +30,7 @@ from .data import (
     json_text,
     map_labels,
     parse_records,
+    read_json,
     reference_sample_counts,
     sample_indices,
     stratified_folds,
@@ -84,10 +85,11 @@ def _sample(sample: SampleConfig | None, ds: Dataset):
     if sample.target == "reference":
         counts = reference_sample_counts()
     else:
-        counts = {
-            str(k): int(v)
-            for k, v in json.loads(Path(sample.target).read_text()).items()
-        }
+        counts = read_json(
+            sample.target,
+            lambda payload: {str(k): int(v) for k, v in payload.items()},
+            "sample counts file",
+        )
     idx = sample_indices(ds, counts, sample.seed)
     manifest = {
         "seed": sample.seed,

@@ -14,7 +14,6 @@ break toward the smallest feature index.
 from __future__ import annotations
 
 import heapq
-import json
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -22,7 +21,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .data import Coding, Dataset, check_discrete, encode, json_text
+from .data import Dataset, check_discrete, encode, json_text
 from .discretize import entropy
 
 SELECTION_METHODS = (
@@ -151,21 +150,20 @@ class CorrelationCache:
         if len(ds) == 0:
             raise ValueError("cannot correlate an empty dataset")
         self.n_features = len(ds.schema)
-        coding = ds.coding()
-        self._codes = (None,) + coding.columns
-        self._cards = (0,) + tuple(len(v) for v in coding.vocabs)
+        self._codes = (None,) + ds.codes
+        self._cards = (0,) + tuple(len(v) for v in ds.vocabs)
         # Marginal entropies from the same bincount as a contingency table's
         # row totals, so each is bitwise equal to entropy(table.row_totals).
         self._h = [0.0] + [
             entropy(np.bincount(c, minlength=n))
             for c, n in zip(self._codes[1:], self._cards[1:])
         ]
-        ncls = len(coding.label_vocab)
-        hy = entropy(np.bincount(coding.labels, minlength=ncls))
+        ncls = len(ds.label_vocab)
+        hy = entropy(np.bincount(ds.label_codes, minlength=ncls))
         self._class_su = np.array(
             [0.0]
             + [
-                self._su(self._codes[i], self._h[i], coding.labels, ncls, hy)
+                self._su(self._codes[i], self._h[i], ds.label_codes, ncls, hy)
                 for i in range(1, self.n_features + 1)
             ]
         )
@@ -364,10 +362,10 @@ def best_first_search(
     return FeatureSubset(indices=best_subset, merit=best_merit)
 
 
-def _class_table(coding: Coding, i: int) -> ContingencyTable:
-    """(value, class) counts of feature i from a dataset's coding."""
+def _class_table(ds: Dataset, i: int) -> ContingencyTable:
+    """(value, class) counts of feature i."""
     return ContingencyTable.from_codes(
-        coding.columns[i - 1], len(coding.vocabs[i - 1]), coding.labels, len(coding.label_vocab)
+        ds.codes[i - 1], len(ds.vocabs[i - 1]), ds.label_codes, len(ds.label_vocab)
     )
 
 
@@ -399,8 +397,7 @@ def rank_threshold(
         if include is not None
         else list(range(1, len(ds.schema) + 1))
     )
-    coding = ds.coding()
-    scored = [(i, float(score_fn(_class_table(coding, i)))) for i in considered]
+    scored = [(i, float(score_fn(_class_table(ds, i)))) for i in considered]
     max_score = max((s for _, s in scored), default=0.0)
     if max_score <= 0.0:
         return RankedFeatures(entries=())
@@ -459,10 +456,6 @@ class SelectionResult:
             ranking=ranking,
             components=components,
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> "SelectionResult":
-        return cls.from_payload(json.loads(text))
 
 
 def run_selection(ds: Dataset, method: str, alpha: float) -> SelectionResult:

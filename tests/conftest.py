@@ -8,6 +8,11 @@ from idspipe.data import ATTACK23, CONTINUOUS, DISCRETE, Dataset, FeatureSchema
 from idspipe.synth import synthetic_lines
 
 
+def columns_of(ds):
+    """Every column of ``ds``, decoded."""
+    return [ds.column(i) for i in range(1, len(ds.schema) + 1)]
+
+
 def toy_dataset(columns, labels, kinds=None, weights=None, granularity=ATTACK23):
     """Build a small dataset from plain lists; discrete columns by default."""
     ncols = len(columns)
@@ -21,12 +26,12 @@ def toy_dataset(columns, labels, kinds=None, weights=None, granularity=ATTACK23)
         for i, col in enumerate(columns)
     )
     n = len(labels)
-    return Dataset(
-        schema=schema,
-        columns=arrays,
-        labels=np.asarray(labels, dtype=object),
-        weights=np.ones(n) if weights is None else np.asarray(weights, dtype=float),
-        granularity=granularity,
+    return Dataset.from_columns(
+        schema,
+        arrays,
+        np.asarray(labels, dtype=object),
+        np.ones(n) if weights is None else weights,
+        granularity,
     )
 
 

@@ -25,7 +25,7 @@ from idspipe.data import DISCRETE, Dataset, FeatureSchema
 from idspipe.errors import DataError
 from idspipe.pipeline import load_model_payload, model_json
 
-from conftest import toy_dataset
+from conftest import columns_of, toy_dataset
 
 # 4 records, 2 features, labels 3xa / 1xb; the worked example used throughout.
 HAND_COLUMNS = [["x", "x", "y", "y"], ["p", "q", "p", "q"]]
@@ -59,7 +59,7 @@ def oracle_posterior(record_values):
 
 def one_row(ds, i):
     """Record i of ``ds`` as a dataset of its own, coded afresh."""
-    return toy_dataset([[col[i]] for col in ds.columns], [ds.labels[i]])
+    return toy_dataset([[col[i]] for col in columns_of(ds)], [ds.labels[i]])
 
 
 def query(*values):
@@ -133,12 +133,11 @@ class TestTrainNaiveBayes:
 
 
     def test_value_absent_from_training_rows_is_unseen(self):
-        # "z" is in the vocabulary of the coded full dataset, not in the
-        # training rows sliced from it
+        # "z" is in the vocabulary of the full dataset, not in the training
+        # rows sliced from it
         full = toy_dataset(
             [HAND_COLUMNS[0] + ["z"], HAND_COLUMNS[1] + ["p"]], HAND_LABELS + ["b"]
         )
-        full.coding()
         train, test = full.subset([0, 1, 2, 3]), full.subset([4])
         model = train_naive_bayes(train)
         assert model.feature_values == (("x", "y"), ("p", "q"))
@@ -208,7 +207,7 @@ class TestNbPredict:
             direct = []
             for c in range(len(model.labels)):
                 s = model.priors[c]
-                for f, column in enumerate(ds.columns):
+                for f, column in enumerate(columns_of(ds)):
                     values = model.feature_values[f]
                     value = column[i]
                     idx = values.index(value) if value in values else len(values)
@@ -230,7 +229,7 @@ class TestNbPredict:
 def unblocked_log_posteriors(model, ds):
     """Log prior plus each feature's log conditional, one feature at a time."""
     scores = np.tile(np.log(model.priors), (len(ds), 1))
-    for f, column in enumerate(ds.columns):
+    for f, column in enumerate(columns_of(ds)):
         values = [str(v) for v in model.feature_values[f]]
         rows = [values.index(str(v)) if str(v) in values else len(values) for v in column]
         scores += np.log(model.cond[f])[rows]
@@ -432,12 +431,12 @@ class TestTrainClassifier:
         assert ensemble_text(ensemble) == ensemble_text(reference)
 
 
-def uncoded(ds, weights=None):
-    """Copy of a dataset that carries no coding of its own."""
-    return Dataset(
+def recoded(ds, weights=None):
+    """The records of ``ds`` encoded afresh from their decoded values."""
+    return Dataset.from_columns(
         ds.schema,
-        tuple(c.copy() for c in ds.columns),
-        ds.labels.copy(),
+        columns_of(ds),
+        ds.labels,
         ds.weights.copy() if weights is None else weights,
         ds.granularity,
     )
@@ -449,8 +448,8 @@ def reference_adaboost(ds, rounds, labels):
     weights = np.full(len(ds), 1.0 / len(ds))
     kept = []
     for t in range(rounds):
-        model = train_naive_bayes(uncoded(ds, weights), label_set=labels)
-        mis = nb_predict_batch(model, uncoded(ds)) != y
+        model = train_naive_bayes(recoded(ds, weights), label_set=labels)
+        mis = nb_predict_batch(model, recoded(ds)) != y
         error = float(weights[mis].sum())
         if error >= 0.5:
             if t == 0:
@@ -469,13 +468,13 @@ def reference_adaboost(ds, rounds, labels):
 def reference_predict(ensemble, ds):
     votes = np.zeros((len(ds), len(ensemble.labels)))
     for model, vote in ensemble.rounds:
-        votes[np.arange(len(ds)), nb_predict_batch(model, uncoded(ds))] += vote
+        votes[np.arange(len(ds)), nb_predict_batch(model, recoded(ds))] += vote
     return votes.argmax(axis=1)
 
 
 @st.composite
 def split_datasets(draw):
-    """A dataset mixing object and int columns, coded in full, and a row split."""
+    """A dataset mixing object and int columns, and a row split of it."""
     n = draw(st.integers(4, 40))
     rows = st.lists(st.integers(0, 3), min_size=n, max_size=n)
     columns = []
@@ -486,13 +485,12 @@ def split_datasets(draw):
         else:
             columns.append(np.asarray(["tcp", "udp", "icmp", "SF"], dtype=object)[values])
     labels = np.asarray(draw(st.lists(st.sampled_from("abc"), min_size=n, max_size=n)), dtype=object)
-    full = Dataset(
+    full = Dataset.from_columns(
         FeatureSchema(tuple((f"f{i}", DISCRETE) for i in range(1, len(columns) + 1))),
-        tuple(columns),
+        columns,
         labels,
         np.ones(n),
     )
-    full.coding()
     in_train = draw(st.lists(st.booleans(), min_size=n, max_size=n).filter(any))
     return full, np.flatnonzero(in_train), np.flatnonzero(np.logical_not(in_train))
 
@@ -505,7 +503,7 @@ class TestCodedPath:
         labels = full.label_set()
         train, test = full.subset(train_idx), full.subset(test_idx)
         ensemble = train_adaboost_m1(train, rounds=rounds, label_set=labels)
-        reference = reference_adaboost(uncoded(train), rounds, labels)
+        reference = reference_adaboost(recoded(train), rounds, labels)
         assert ensemble_text(ensemble) == ensemble_text(reference)
         assert np.array_equal(
             ensemble_predict_batch(ensemble, test), reference_predict(reference, test)

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from idspipe.cli import main
-from idspipe.config import PipelineConfig
+from idspipe.config import PipelineConfig, SampleConfig
 from idspipe.data import read_dataset
 from idspipe.pipeline import run_experiment
 from idspipe.synth import synthetic_lines
@@ -223,6 +223,44 @@ class TestStageFailures:
         assert err == f"error: stage ingest: no records in {empty}\n"
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize(
+        "side, text, args, stage, named",
+        [
+            ("{raw}.schema.json", "{}", ["discretize", "{raw}", "--out", "{tmp}/d"],
+             "discretize", "'schema'"),
+            ("{raw}.schema.json", '{"schema": 5, "granularity": "attack23"}',
+             ["discretize", "{raw}", "--out", "{tmp}/d"], "discretize", "{side}"),
+            ("{raw}.schema.json", "[1]", ["discretize", "{raw}", "--out", "{tmp}/d"],
+             "discretize", "{side}"),
+            ("{tmp}/s.json", '{"method": "hybrid"}',
+             ["train", "{raw}", "--selection", "{side}", "--out", "{tmp}/m.json"],
+             "train", "'indices'"),
+            ("{tmp}/c.json", "[3]",
+             ["ingest", "{synth}", "--out", "{tmp}/x.csv", "--sample", "{side}"],
+             "sample", "{side}"),
+            ("{tmp}/c.json", "[3]",
+             ["run", "--input", "{synth}", "--sample", "{side}", "--out", "{tmp}/o"],
+             "sample", "{side}"),
+        ],
+        ids=["sidecar-empty", "sidecar-schema-not-a-list", "sidecar-a-list",
+             "selection-without-indices", "ingest-counts-a-list", "run-counts-a-list"],
+    )
+    def test_malformed_side_file_is_a_data_error_naming_it(
+        self, small_synth, raw_csv, tmp_path, capsys, side, text, args, stage, named
+    ):
+        fields = {"raw": raw_csv, "synth": small_synth, "tmp": tmp_path}
+        fields["side"] = side.format(**fields)
+        with open(fields["side"], "w", encoding="utf-8") as fh:
+            fh.write(text)
+        capsys.readouterr()
+        code = run_cli(*[a.format(**fields) for a in args])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: stage {stage}: ")
+        assert named.format(**fields) in err
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+
     def test_model_that_is_not_json_is_named(self, raw_csv, tmp_path, capsys):
         model = tmp_path / "model.json"
         model.write_text("not json\n")
@@ -395,6 +433,22 @@ class TestRunArtifacts:
         assert written["experiment"]["selection"]["method"] == "ig"
         sel = json.loads((out / "selection.json").read_text())
         assert sel["method"] == "ig"
+
+    def test_sample_flag_keeps_the_config_seed(self, small_synth, tmp_path):
+        counts = tmp_path / "c.json"
+        counts.write_text(json.dumps({"normal": 30, "neptune": 15}))
+        config = PipelineConfig(input_path=str(small_synth), sample=SampleConfig(seed=5))
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(config.to_json())
+        out = tmp_path / "cfgrun"
+        code = run_cli(
+            "run", "--config", cfg_path, "--sample", counts, "--no-boost", "--k", "3",
+            "--out", out,
+        )
+        assert code == 0
+        written = json.loads((out / "config.json").read_text())
+        assert written["sample"] == {"target": str(counts), "seed": 5}
+        assert json.loads((out / "sample_manifest.json").read_text())["seed"] == 5
 
 
 class TestReproduceTables:

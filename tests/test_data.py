@@ -1,4 +1,6 @@
 import json
+import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -14,8 +16,11 @@ from idspipe.data import (
     DISCRETE,
     Dataset,
     FoldPlan,
+    NORMAL,
     NSLKDD_SCHEMA,
     REFERENCE_ATTACK_COUNTS,
+    _format_value,
+    encode,
     json_text,
     map_labels,
     parse_records,
@@ -24,10 +29,11 @@ from idspipe.data import (
     serialize_records,
     stratified_folds,
 )
+from idspipe.discretize import CutPointList, DiscretizationModel, apply_discretizer
 from idspipe.errors import ParseError, SamplingError, SchemaError, UnknownLabelError
 from idspipe.evaluate import cross_validate
 
-from conftest import toy_dataset
+from conftest import columns_of, toy_dataset
 
 # Authentic first record of the standard train split (43 fields, with the
 # trailing difficulty score).
@@ -90,7 +96,7 @@ class TestParse:
         assert ds.column(5)[0] == 491.0
         assert ds.column(34)[0] == pytest.approx(0.17)
         # difficulty (the 43rd field) is nowhere in the record
-        assert len(ds.columns) == 41
+        assert len(ds.codes) == len(ds.vocabs) == 41
 
     def test_non_numeric_continuous(self):
         bad = make_line().split(",")
@@ -137,7 +143,7 @@ class TestMapLabels:
         ds = parse_records(lines)
         mapped = map_labels(ds)
         assert len(mapped) == len(ds)
-        for a, b in zip(ds.columns, mapped.columns):
+        for a, b in zip(columns_of(ds), columns_of(mapped)):
             assert np.array_equal(a, b)
         assert np.array_equal(ds.weights, mapped.weights)
 
@@ -327,6 +333,107 @@ class TestJsonText:
             json_text([0.5, np.int64(1)])
 
 
+# Finite floats, without -0.0: a continuous column is coded by numeric value,
+# so -0.0 and 0.0 are one value (see test_negative_zero_is_written_as_zero).
+FLOATS = st.one_of(
+    st.sampled_from([0.1, 1e-07, 3.0, 0.0, 2.5e10, -4.75]),
+    st.floats(allow_nan=False, allow_infinity=False).filter(
+        lambda v: v != 0.0 or math.copysign(1.0, v) > 0
+    ),
+)
+VALUES = {
+    "float": FLOATS,
+    "str": st.sampled_from(["tcp", "SF", "0.10", "private"]),
+    "int": st.integers(-5, 10**6),
+}
+
+
+@st.composite
+def raw_tables(draw):
+    """Raw columns of mixed kinds, labels (one may be unknown) and kept rows."""
+    n = draw(st.integers(0, 25))
+    kinds, columns = [], []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(sorted(VALUES)))
+        columns.append(draw(st.lists(VALUES[kind], min_size=n, max_size=n)))
+        kinds.append(CONTINUOUS if kind == "float" else DISCRETE)
+    labels = draw(
+        st.lists(st.sampled_from([*ATTACK_CATEGORY, NORMAL, "mystery"]), min_size=n, max_size=n)
+    )
+    kept = [i for i in range(n) if draw(st.booleans())]
+    return columns, kinds, labels, kept
+
+
+def reference_lines(columns, labels):
+    """CSV lines formatted cell by cell."""
+    return [
+        ",".join([_format_value(col[i]) for col in columns] + [str(labels[i])])
+        for i in range(len(labels))
+    ]
+
+
+class TestEncode:
+    @given(
+        st.one_of(
+            st.lists(st.one_of(st.sampled_from(["tcp", "SF", "0.10", ""]), st.text(max_size=3))),
+            st.lists(st.integers(-3, 3)),
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_object_values_code_as_np_unique_does(self, values):
+        values = np.asarray(values, dtype=object)
+        vocab, codes = np.unique(values, return_inverse=True)
+        got_codes, got_vocab = encode(values)
+        assert got_vocab == tuple(vocab.tolist())
+        assert got_codes.dtype == np.int64 and got_codes.tolist() == codes.tolist()
+
+
+class TestCodeIndexedWriter:
+    @given(raw_tables(), st.lists(FLOATS, max_size=4))
+    @settings(max_examples=150, deadline=None)
+    def test_lines_equal_a_per_cell_reference(self, table, cuts):
+        columns, kinds, labels, kept = table
+        ds = toy_dataset(columns, labels, kinds=kinds)
+        sub = ds.subset(kept)  # keeps the full vocabularies
+        sub_columns = [[col[i] for i in kept] for col in columns]
+        sub_labels = [labels[i] for i in kept]
+        assert list(serialize_records(ds)) == reference_lines(columns, labels)
+        assert list(serialize_records(sub)) == reference_lines(sub_columns, sub_labels)
+
+        cut_lists = tuple(
+            CutPointList(i, tuple(sorted(set(cuts)))) for i in ds.schema.continuous_indices
+        )
+        binned = apply_discretizer(DiscretizationModel(ds.schema, cut_lists), sub)
+        binned_columns = [
+            [bisect_right(sorted(set(cuts)), v) for v in col] if kind == CONTINUOUS else col
+            for col, kind in zip(sub_columns, kinds)
+        ]
+        assert list(serialize_records(binned)) == reference_lines(binned_columns, sub_labels)
+
+    def test_negative_zero_is_written_as_zero(self):
+        ds = toy_dataset([[-0.0, 0.0, 1.5]], ["a", "b", "a"], kinds=[CONTINUOUS])
+        assert list(serialize_records(ds)) == ["0.0,a", "0.0,b", "1.5,a"]
+
+    @given(raw_tables())
+    @settings(max_examples=100, deadline=None)
+    def test_map_labels_equals_a_per_record_reference(self, table):
+        columns, kinds, labels, kept = table
+        sub = toy_dataset(columns, labels, kinds=kinds).subset(kept)
+        sub_labels = [labels[i] for i in kept]
+        if "mystery" in sub_labels:
+            with pytest.raises(UnknownLabelError, match="mystery"):
+                map_labels(sub)
+            return
+        mapped = map_labels(sub)
+        assert mapped.labels.tolist() == [
+            lbl if lbl == NORMAL else ATTACK_CATEGORY[lbl] for lbl in sub_labels
+        ]
+        assert mapped.label_set() == tuple(sorted(set(mapped.labels.tolist())))
+        assert list(serialize_records(mapped)) == reference_lines(
+            [[col[i] for i in kept] for col in columns], mapped.labels.tolist()
+        )
+
+
 @pytest.fixture
 def validated(monkeypatch):
     """Every dataset that runs ``Dataset.__post_init__`` from here on, in order."""
@@ -369,10 +476,9 @@ class TestDerivedDatasets:
 
     def test_derived_dataset_keeps_its_parent_intact(self):
         ds = toy_dataset([["x", "y", "z"], [1, 2, 3]], ["a", "b", "a"])
-        ds.coding()
         sub = ds.subset([2, 0])
         proj = ds.project([2])
         assert list(sub.labels) == ["a", "a"] and list(sub.column(2)) == [3, 1]
         assert len(proj.schema) == 1 and list(proj.column(1)) == [1, 2, 3]
         assert list(ds.column(1)) == ["x", "y", "z"] and len(ds.schema) == 2
-        assert sub.coding() is not ds.coding() and proj.coding().vocabs == (ds.coding().vocabs[1],)
+        assert sub.vocabs == ds.vocabs and proj.vocabs == (ds.vocabs[1],)

@@ -17,7 +17,7 @@ from idspipe.discretize import (
 )
 from idspipe.errors import SchemaError
 
-from conftest import toy_dataset
+from conftest import columns_of, toy_dataset
 
 
 # --- independent oracle: exhaustive-midpoint recursive MDL splitting -------
@@ -348,7 +348,7 @@ class TestFitApply:
         refit = fit_discretizer(once)
         twice = apply_discretizer(refit, once)
         assert all(c.cuts == () for c in refit.cut_lists)  # nothing left to split
-        for a, b in zip(once.columns, twice.columns):
+        for a, b in zip(columns_of(once), columns_of(twice)):
             assert np.array_equal(a, b)
 
     def test_schema_mismatch(self):

@@ -32,7 +32,7 @@ from idspipe.evaluate import (
 )
 from idspipe.pipeline import model_json
 
-from conftest import toy_dataset
+from conftest import columns_of, toy_dataset
 
 matrices = st.integers(2, 5).flatmap(
     lambda c: arrays(np.int64, (c, c), elements=st.integers(0, 40)).filter(
@@ -273,9 +273,9 @@ LABELS23 = sorted(ATTACK_CATEGORY) + [NORMAL]
 
 @st.composite
 def coded_training_folds(draw):
-    """A training fold of a coded dataset: mixed columns, some constant.
+    """A training fold of a dataset: mixed columns, some constant.
 
-    The fold slices the full dataset's coding, so its vocabularies may hold
+    The fold slices the full dataset's codes, so its vocabularies may hold
     values and classes (out of a subset of the 23 labels) that no row of the
     fold takes; one class may be missing from the fold altogether.
     """
@@ -296,7 +296,6 @@ def coded_training_folds(draw):
         else:
             columns.append([f"v{v}" for v in (y_part + noise) % 5])
     ds = toy_dataset(columns, classes[y].tolist(), kinds=kinds)
-    ds.coding()
     keep = rng.random(n) < draw(st.sampled_from([0.5, 0.8, 1.0]))
     if draw(st.booleans()):
         keep &= y != y[0]  # the fold misses a class
@@ -304,9 +303,11 @@ def coded_training_folds(draw):
     return ds.subset(np.flatnonzero(keep))
 
 
-def uncoded(ds):
-    """The same records, with a coding that will be built from scratch."""
-    return Dataset(ds.schema, ds.columns, ds.labels, ds.weights, ds.granularity)
+def recoded(ds):
+    """The same records, encoded afresh from their decoded values."""
+    return Dataset.from_columns(
+        ds.schema, columns_of(ds), ds.labels, ds.weights, ds.granularity
+    )
 
 
 class TestCarriedCoding:
@@ -314,26 +315,25 @@ class TestCarriedCoding:
     @settings(max_examples=80, deadline=None)
     def test_carried_coding_matches_a_fresh_one(self, fold, method, boost):
         model = fit_discretizer(fold)
-        fresh_model = fit_discretizer(uncoded(fold))
+        fresh_model = fit_discretizer(recoded(fold))
         assert [[c.hex() for c in cpl.cuts] for cpl in model.cut_lists] == [
             [c.hex() for c in cpl.cuts] for cpl in fresh_model.cut_lists
         ]
 
         binned = apply_discretizer(model, fold)
-        coding = binned.coding()
-        for i, (codes, vocab) in enumerate(zip(coding.columns, coding.vocabs), 1):
+        for i, (codes, vocab) in enumerate(zip(binned.codes, binned.vocabs), 1):
             assert [vocab[c] for c in codes] == binned.column(i).tolist()
         for cpl in model.cut_lists:
-            assert coding.vocabs[cpl.feature_index - 1] == tuple(range(cpl.n_bins))
+            assert binned.vocabs[cpl.feature_index - 1] == tuple(range(cpl.n_bins))
 
-        fresh = uncoded(binned)
+        fresh = recoded(binned)
         selection = run_selection(binned, method, 0.3)
         fresh_selection = run_selection(fresh, method, 0.3)
         assert selection.to_json() == fresh_selection.to_json()
         assert selection.subset.merit.hex() == fresh_selection.subset.merit.hex()
 
         features = selection.subset.indices or (1,)
-        label_set = fold.coding().label_vocab
+        label_set = fold.label_vocab
         config = ClassifierConfig(boost=boost, rounds=3)
         trained = train_classifier(binned.project(features), config, label_set)
         retrained = train_classifier(fresh.project(features), config, label_set)

@@ -1,4 +1,5 @@
 import heapq
+import json
 import math
 from collections import Counter
 from itertools import combinations
@@ -488,10 +489,9 @@ class TestRankThreshold:
     @given(seed=st.integers(0, 50), scorer=st.sampled_from(["ig", "gainratio", "su"]))
     @settings(max_examples=60, deadline=None)
     def test_scores_equal_raw_column_scorers(self, seed, scorer):
-        # scored from a coding sliced out of a larger dataset, so some
+        # scored from codes sliced out of a larger dataset, so some
         # vocabulary values and classes are absent from the scored rows
         full = random_discrete_dataset(seed)
-        full.coding()
         ds = full.subset(np.arange(0, len(full), 2))
         score_fn = {"ig": info_gain, "gainratio": gain_ratio, "su": symmetrical_uncertainty}
         expected = {
@@ -543,7 +543,7 @@ class TestSelectionResult:
         for method in ("cfs-greedy", "cfs-bestfirst", "ig", "gainratio",
                        "correlation", "hybrid"):
             result = run_selection(ds, method, alpha=0.3)
-            again = SelectionResult.from_json(result.to_json())
+            again = SelectionResult.from_payload(json.loads(result.to_json()))
             assert again.subset.indices == result.subset.indices
             assert again.to_json() == result.to_json()
 

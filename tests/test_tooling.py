@@ -12,8 +12,8 @@ from pathlib import Path
 import numpy as np
 
 import idspipe
-from idspipe import classify, cli, data, discretize, evaluate, select
-from idspipe.config import ClassifierConfig, ExperimentConfig
+from idspipe import classify, cli, data, discretize, evaluate, pipeline, select
+from idspipe.config import ClassifierConfig, CrossValConfig, ExperimentConfig, PipelineConfig
 from idspipe.data import CONTINUOUS, DISCRETE, stratified_folds
 
 from conftest import toy_dataset
@@ -110,8 +110,8 @@ def test_benchmark_spans_are_reached(monkeypatch):
 
 
 def test_fold_safe_cv_codes_each_column_once(monkeypatch):
-    # the folds slice one coding of the dataset; recoding per fold would
-    # call data.encode about k times per column
+    # the folds slice the dataset's codes; encoding per fold would call
+    # data.encode about k times per column
     calls = []
     count_calls(monkeypatch, data, "encode", calls)
     rng = np.random.default_rng(1)
@@ -126,8 +126,25 @@ def test_fold_safe_cv_codes_each_column_once(monkeypatch):
     k = 5
     report = evaluate.cross_validate(ds, config, k=k, seed=0)
     assert report.matrix.total == len(ds)
-    # once per column, plus label codes: at most one per fit (k fits)
-    assert len(calls) <= len(ds.schema) + k
+    # once per column and once for the labels, when the dataset was built
+    assert len(calls) == len(ds.schema) + 1
+
+
+def test_a_run_encodes_each_column_once(monkeypatch, synth_file, tmp_path):
+    # a dataset is its coding: parsing encodes every column and the labels,
+    # and nothing after it (sample, folds, fits, deployment) encodes again
+    calls = []
+    count_calls(monkeypatch, data, "encode", calls)
+    config = PipelineConfig(
+        input_path=str(synth_file),
+        experiment=ExperimentConfig(discretization="leaky"),
+        cv=CrossValConfig(k=3),
+        output_dir=str(tmp_path / "run"),
+    )
+    assert config.granularity == data.ATTACK23
+    result = pipeline.run_experiment(config)
+    assert result.report.matrix.total == 600
+    assert len(calls) == len(data.NSLKDD_SCHEMA) + 1
 
 
 def used_names(tree: ast.Module) -> set[str]:
