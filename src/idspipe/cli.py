@@ -52,7 +52,7 @@ def cli():
     default=None,
     help="Distribution-match before output: 'reference' or a JSON counts file.",
 )
-@click.option("--sample-seed", type=int, default=0, show_default=True)
+@click.option("--sample-seed", type=click.IntRange(min=0), default=0, show_default=True)
 @pipeline._stage("ingest")
 def ingest(input_path, out, granularity, sample, sample_seed):
     """Parse a 42/43-field record file into a validated dataset CSV."""
@@ -235,10 +235,12 @@ def run_cmd(config_path, **kw):
 @cli.command("reproduce-tables")
 @click.argument("input_path")
 @click.option("--out", required=True, help="Output directory for the tables.")
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--rounds", type=int, default=10, show_default=True)
-@click.option("--alpha", type=float, default=None, help="Hybrid-stage alpha override.")
-@click.option("--k", type=int, default=10, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
+@click.option("--rounds", type=click.IntRange(min=1), default=10, show_default=True)
+@click.option(
+    "--alpha", type=click.FloatRange(0, 1), default=None, help="Hybrid-stage alpha override."
+)
+@click.option("--k", type=click.IntRange(min=2), default=10, show_default=True)
 @click.option(
     "--sample/--no-sample",
     default=True,

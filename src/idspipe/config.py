@@ -63,6 +63,8 @@ class CrossValConfig:
     def __post_init__(self):
         if self.k < 2:
             raise ValueError("cv.k must be at least 2")
+        if self.seed < 0:
+            raise ValueError("cv.seed must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -75,6 +77,10 @@ class SampleConfig:
 
     target: str = "reference"
     seed: int = 0
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError("sample.seed must be non-negative")
 
 
 @dataclass(frozen=True)

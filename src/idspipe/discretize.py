@@ -41,12 +41,28 @@ def entropy(class_counts) -> float:
     return float(-(p * np.log2(p)).sum())
 
 
+def segment_entropies(counts: np.ndarray, lengths: np.ndarray, totals) -> np.ndarray:
+    """:func:`entropy` of consecutive segments of a flat array of positive counts.
+
+    Segment s is the next ``lengths[s]`` entries of ``counts`` and sums to
+    ``totals[s]`` (or to ``totals``, a scalar). The terms of all segments
+    are computed at once and each segment's are summed as one contiguous
+    1-D array, as ``entropy`` sums them, so the results are bitwise equal.
+    """
+    p = counts / np.repeat(np.broadcast_to(totals, lengths.shape), lengths)
+    terms = p * np.log2(p)
+    ends = np.cumsum(lengths).tolist()
+    return np.array([-np.add.reduce(terms[a:b]) for a, b in zip([0, *ends], ends)])
+
+
 def _row_entropies(counts: np.ndarray) -> np.ndarray:
     """Entropy of each row of a (rows, classes) count matrix; empty rows -> 0."""
     totals = counts.sum(axis=1, keepdims=True)
-    safe = np.where(totals > 0, totals, 1.0)
-    p = counts / safe
-    return -(p * np.log2(np.where(counts > 0, p, 1.0))).sum(axis=1)
+    p = counts / np.where(totals > 0, totals, 1.0)
+    terms = np.where(counts > 0, p, 1.0)
+    np.log2(terms, out=terms)
+    terms *= p
+    return -terms.sum(axis=1)
 
 
 def mdlp_cuts(values, labels) -> list[float]:
@@ -67,74 +83,129 @@ def mdlp_cuts(values, labels) -> list[float]:
         return []
     codes, vocab = encode(values)
     y, classes = encode(labels)
-    return _mdlp_cuts(codes, np.asarray(vocab, dtype=float), y, len(classes))
+    return _mdlp_cuts([(codes, vocab)], y, len(classes))[0]
 
 
-def _mdlp_cuts(
-    codes: np.ndarray, vocab: np.ndarray, y: np.ndarray, n_classes: int
-) -> list[float]:
-    """:func:`mdlp_cuts` of one feature coded over an ascending vocabulary.
+def _stacked_groups(columns, y: np.ndarray, n_classes: int):
+    """Distinct-value groups of all columns, stacked column after column.
 
-    ``vocab[codes]`` are the values (at least one), ``y < n_classes`` the
-    class codes. Vocabulary values no record takes are dropped.
+    Returns each group's value, column and class counts (floats). One
+    bincount per column fills one count table, so no key matrix of all
+    columns is held.
     """
-    # Distinct-value groups with per-group class counts, and prefix[g] =
-    # class counts of the groups before g. Counts are integers held in
-    # floats, so differences of prefix rows are exact.
-    counts = np.bincount(codes * n_classes + y, minlength=len(vocab) * n_classes)
-    counts = counts.reshape(len(vocab), n_classes)
+    sizes = [len(vocab) for _, vocab in columns]
+    counts = np.empty((sum(sizes), n_classes), dtype=np.int64)
+    start = 0
+    for (codes, _), size in zip(columns, sizes):
+        table = np.bincount(codes * n_classes + y, minlength=size * n_classes)
+        counts[start : start + size] = table.reshape(size, n_classes)
+        start += size
     present = counts.any(axis=1)
-    group_values = vocab[present]
-    group_counts = counts[present].astype(float)
-    n_groups = len(group_values)
-    prefix = np.zeros((n_groups + 1, n_classes))
+    values = np.concatenate([np.asarray(v, dtype=float) for _, v in columns])
+    column = np.repeat(np.arange(len(columns)), sizes)
+    return values[present], column[present], counts[present].astype(float)
+
+
+# Candidate cuts scored together; bounds the temporaries of one level.
+_BATCH = 1024
+
+
+def _best_splits(prefix, boundaries, lo, hi, first, n_cand) -> np.ndarray:
+    """The stacked group after which each block [lo, hi) splits, or -1 if MDL rejects it.
+
+    A block's candidate cuts are ``boundaries[first : first + n_cand]``
+    (at least one); ``prefix`` holds the class counts before each group.
+    """
+    block = np.repeat(np.arange(len(lo)), n_cand)
+    start = np.cumsum(n_cand) - n_cand
+    cand = boundaries[np.arange(len(block)) - start[block] + first[block]]
+
+    total = prefix[hi] - prefix[lo]
+    n = total.sum(axis=1)
+    left = prefix[cand + 1] - prefix[lo][block]
+    right = total[block] - left
+    n_left = left.sum(axis=1)
+    n_right = n[block] - n_left
+    h_left, h_right = _row_entropies(np.concatenate([left, right])).reshape(2, -1)
+    child_entropy = (n_left * h_left + n_right * h_right) / n[block]
+
+    # The first minimum of each block, as np.argmin takes it.
+    lowest = np.minimum.reduceat(child_entropy, start)
+    hits = np.flatnonzero(child_entropy == lowest[block])
+    b = hits[np.concatenate(([True], block[hits[1:]] != block[hits[:-1]]))]
+
+    positive = total > 0
+    k = positive.sum(axis=1)
+    h_parent = segment_entropies(total[positive], k, n)
+    gain = h_parent - child_entropy[b]
+    k1 = (left[b] > 0).sum(axis=1)
+    k2 = (right[b] > 0).sum(axis=1)
+    keep = [
+        g > (math.log2(nn - 1) + (math.log2(3**kk - 2) - (kk * hp - kk1 * hl - kk2 * hr))) / nn
+        for g, nn, kk, hp, kk1, hl, kk2, hr in zip(
+            gain.tolist(), n.tolist(), k.tolist(), h_parent.tolist(),
+            k1.tolist(), h_left[b].tolist(), k2.tolist(), h_right[b].tolist(),
+        )
+    ]
+    return np.where(keep, cand[b], -1)
+
+
+def _mdlp_cuts(columns, y: np.ndarray, n_classes: int) -> list[list[float]]:
+    """:func:`mdlp_cuts` of every column at once, one recursion level at a time.
+
+    ``columns`` holds one ``(codes, vocab)`` pair per feature, ``vocab``
+    ascending and ``vocab[codes]`` the values; ``y < n_classes`` are the
+    class codes of the same records. Vocabulary values no record takes are
+    dropped. Returns each column's cuts.
+    """
+    if not columns:
+        return []
+    group_values, group_column, group_counts = _stacked_groups(columns, y, n_classes)
+    # prefix[g] = class counts of the stacked groups before g. Counts are
+    # integers held in floats, so differences of prefix rows are exact.
+    prefix = np.zeros((len(group_counts) + 1, n_classes))
     np.cumsum(group_counts, axis=0, out=prefix[1:])
 
+    # Candidate cut after stacked group g (between g and g+1): every class
+    # boundary, i.e. not between two pure groups of one class. Positions
+    # between two columns are never inside a block.
     group_pure = (group_counts > 0).sum(axis=1) == 1
     group_class = group_counts.argmax(axis=1)
+    boundaries = np.flatnonzero(
+        ~(group_pure[:-1] & group_pure[1:] & (group_class[:-1] == group_class[1:]))
+    )
 
-    cuts: list[float] = []
-    stack = [(0, n_groups)]
-    while stack:
-        lo, hi = stack.pop()
-        if hi - lo < 2:
-            continue
-        # Candidate cut after group position p (between p and p+1): every
-        # class boundary, i.e. not between two pure groups of one class.
-        same_pure = (
-            group_pure[lo : hi - 1]
-            & group_pure[lo + 1 : hi]
-            & (group_class[lo : hi - 1] == group_class[lo + 1 : hi])
+    # Blocks [lo, hi) of stacked groups still to split; every column starts
+    # as one. Each level scores whole blocks, about _BATCH candidates at a time.
+    lo = np.searchsorted(group_column, np.arange(len(columns)))
+    hi = np.searchsorted(group_column, np.arange(len(columns)), side="right")
+    accepted = []
+    while lo.size:
+        first = np.searchsorted(boundaries, lo)
+        n_cand = np.searchsorted(boundaries, hi - 1) - first
+        splittable = n_cand > 0
+        if not splittable.any():
+            break
+        lo, hi, first, n_cand = (a[splittable] for a in (lo, hi, first, n_cand))
+        batch = (np.cumsum(n_cand) - n_cand) // _BATCH
+        edges = [*np.flatnonzero(np.diff(batch, prepend=-1)).tolist(), len(lo)]
+        best = np.concatenate(
+            [
+                _best_splits(prefix, boundaries, lo[s:e], hi[s:e], first[s:e], n_cand[s:e])
+                for s, e in zip(edges, edges[1:])
+            ]
         )
-        cand = np.flatnonzero(~same_pure)
-        if not cand.size:
-            continue
+        keep = best >= 0
+        cut = best[keep]
+        accepted.append(cut)
+        lo, hi = np.concatenate([lo[keep], cut + 1]), np.concatenate([cut + 1, hi[keep]])
 
-        total = prefix[hi] - prefix[lo]
-        n = total.sum()
-        left = prefix[lo + 1 + cand] - prefix[lo]
-        right = total[None, :] - left
-        n_left = left.sum(axis=1)
-        n_right = n - n_left
-        h_left, h_right = _row_entropies(np.concatenate([left, right])).reshape(2, -1)
-        child_entropy = (n_left * h_left + n_right * h_right) / n
-
-        b = int(np.argmin(child_entropy))
-        best = int(cand[b])
-
-        h_parent = entropy(total)
-        gain = h_parent - child_entropy[b]
-        k = int((total > 0).sum())
-        k1 = int((left[b] > 0).sum())
-        k2 = int((right[b] > 0).sum())
-        delta = math.log2(3**k - 2) - (k * h_parent - k1 * h_left[b] - k2 * h_right[b])
-        if gain <= (math.log2(n - 1) + delta) / n:
-            continue
-
-        cuts.append(float((group_values[lo + best] + group_values[lo + best + 1]) / 2))
-        stack.append((lo, lo + best + 1))
-        stack.append((lo + best + 1, hi))
-    return sorted(cuts)
+    cuts = np.concatenate(accepted) if accepted else np.zeros(0, dtype=np.int64)
+    values = (group_values[cuts] + group_values[cuts + 1]) / 2
+    column = group_column[cuts]
+    order = np.lexsort((values, column))
+    bounds = np.searchsorted(column[order], np.arange(1, len(columns)))
+    return [part.tolist() for part in np.split(values[order], bounds)]
 
 
 @dataclass(frozen=True)
@@ -210,12 +281,11 @@ def fit_discretizer(train: Dataset) -> DiscretizationModel:
     present = np.bincount(train.label_codes, minlength=len(train.label_vocab)) > 0
     y = (np.cumsum(present) - 1)[train.label_codes]
     n_classes = int(present.sum())
-    cut_lists = []
-    for idx in train.schema.continuous_indices:
-        vocab = np.asarray(train.vocabs[idx - 1], dtype=float)
-        cuts = _mdlp_cuts(train.codes[idx - 1], vocab, y, n_classes)
-        cut_lists.append(CutPointList(idx, tuple(cuts)))
-    return DiscretizationModel(schema=train.schema, cut_lists=tuple(cut_lists))
+    indices = train.schema.continuous_indices
+    columns = [(train.codes[i - 1], train.vocabs[i - 1]) for i in indices]
+    cuts = _mdlp_cuts(columns, y, n_classes)
+    cut_lists = tuple(CutPointList(i, tuple(c)) for i, c in zip(indices, cuts))
+    return DiscretizationModel(schema=train.schema, cut_lists=cut_lists)
 
 
 def apply_discretizer(model: DiscretizationModel, ds: Dataset) -> Dataset:

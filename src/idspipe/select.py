@@ -22,7 +22,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .data import Dataset, check_discrete, encode, json_text
-from .discretize import entropy
+from .discretize import entropy, segment_entropies
 
 SELECTION_METHODS = (
     "cfs-greedy",
@@ -136,6 +136,12 @@ def symmetrical_uncertainty(a, b) -> float:
     return _su_from_table(ContingencyTable.from_columns(a, b))
 
 
+# Key entries counted by one bincount of CorrelationCache._su_row: enough
+# records and features to amortize the call, few enough that the key buffer
+# stays at 128 KiB.
+_KEY_BUDGET = 1 << 14
+
+
 class CorrelationCache:
     """Symmetrical-uncertainty correlations for one discrete dataset.
 
@@ -151,49 +157,80 @@ class CorrelationCache:
             raise ValueError("cannot correlate an empty dataset")
         self.n_features = len(ds.schema)
         self._codes = (None,) + ds.codes
-        self._cards = (0,) + tuple(len(v) for v in ds.vocabs)
+        self._cards = np.array([0] + [len(v) for v in ds.vocabs])
+        # Key rows of one bincount, rewritten by every _su_row call
+        self._keys = np.empty((max(1, _KEY_BUDGET // len(ds)), len(ds)), dtype=np.int64)
         # Marginal entropies from the same bincount as a contingency table's
         # row totals, so each is bitwise equal to entropy(table.row_totals).
-        self._h = [0.0] + [
-            entropy(np.bincount(c, minlength=n))
-            for c, n in zip(self._codes[1:], self._cards[1:])
-        ]
-        ncls = len(ds.label_vocab)
-        hy = entropy(np.bincount(ds.label_codes, minlength=ncls))
-        self._class_su = np.array(
+        self._h = np.array(
             [0.0]
             + [
-                self._su(self._codes[i], self._h[i], ds.label_codes, ncls, hy)
-                for i in range(1, self.n_features + 1)
+                entropy(np.bincount(c, minlength=n))
+                for c, n in zip(ds.codes, self._cards[1:].tolist())
             ]
+        )
+        ncls = len(ds.label_vocab)
+        hy = entropy(np.bincount(ds.label_codes, minlength=ncls))
+        self._class_su = np.zeros(self.n_features + 1)
+        self._class_su[1:] = self._su_row(
+            ds.label_codes, ncls, hy, np.arange(1, self.n_features + 1)
         )
         self._ff = np.full((self.n_features + 1, self.n_features + 1), np.nan)
         self._ff[0, :] = self._ff[:, 0] = 0.0  # no feature 0
         np.fill_diagonal(self._ff, [1.0 if h > 0 else 0.0 for h in self._h])
 
-    @staticmethod
-    def _su(xc, hx: float, yc, ny: int, hy: float) -> float:
-        """SU of two code arrays with known marginal entropies; ``ny`` codes ``yc``."""
-        if hx == 0.0 or hy == 0.0:
-            return 0.0
-        joint = np.bincount(xc * ny + yc)
-        # entropy() of the sorted positive counts, without its input checks:
-        # the same float counts, total, p and sum, so the same bits
-        c = np.sort(joint[joint > 0]).astype(float)
-        p = c / c.sum()
-        return _su_value(hx, hy, float(-(p * np.log2(p)).sum()))
+    def _su_row(self, xc: np.ndarray, nx: int, hx: float, js: np.ndarray) -> np.ndarray:
+        """SU of the code array ``xc`` (``nx`` codes, entropy ``hx``) with each feature in ``js``.
 
-    def _pair(self, i: int, j: int) -> float:
-        su = self._su(self._codes[i], self._h[i], self._codes[j], self._cards[j], self._h[j])
-        self._ff[i, j] = self._ff[j, i] = su
+        One joint count array holds every table: the cell of a record in
+        feature j's table is ``xc * width + offset_j + code_j``, where
+        ``offset_j`` is the total card of the features before j and
+        ``width`` that of all. Bincounts of as many features as the key
+        buffer holds rows fill it. Each table's positive counts are then
+        sorted (one sort of ``(table, count)`` keys) and summed as
+        ``entropy`` sums them; the counts of a table add up to the record
+        count.
+        """
+        su = np.zeros(len(js))
+        live = np.flatnonzero(self._h[js] > 0)
+        if hx == 0.0 or not live.size:
+            return su  # SU with a constant column is 0
+        features = js[live]
+        cards = self._cards[features]
+        width = int(cards.sum())
+        cell_base = xc * width
+        joint = np.zeros(nx * width, dtype=np.int64)
+        shifts = list(zip(features.tolist(), (np.cumsum(cards) - cards).tolist()))
+        for start in range(0, len(shifts), len(self._keys)):
+            batch = shifts[start : start + len(self._keys)]
+            keys = self._keys[: len(batch)]
+            for row, (j, offset) in zip(keys, batch):
+                np.add(self._codes[j], offset, out=row)
+            keys += cell_base
+            joint += np.bincount(keys.ravel(), minlength=joint.size)
+        cells = np.flatnonzero(joint)
+        table = np.repeat(np.arange(len(features)), cards)[cells % width]
+        n = len(xc)
+        ordered = np.sort(table * (n + 1) + joint[cells])
+        h_joint = segment_entropies(
+            (ordered % (n + 1)).astype(float), np.bincount(table, minlength=len(features)), n
+        )
+        su[live] = [
+            _su_value(hx, hj, h) for hj, h in zip(self._h[features].tolist(), h_joint.tolist())
+        ]
         return su
+
+    def _fill(self, i: int, js: np.ndarray) -> None:
+        su = self._su_row(self._codes[i], int(self._cards[i]), float(self._h[i]), js)
+        self._ff[i, js] = self._ff[js, i] = su
 
     def feature_class(self, i: int) -> float:
         return float(self._class_su[i])
 
     def feature_feature(self, i: int, j: int) -> float:
-        su = self._ff[i, j]
-        return self._pair(i, j) if np.isnan(su) else float(su)
+        if np.isnan(self._ff[i, j]):
+            self._fill(i, np.array([j]))
+        return float(self._ff[i, j])
 
     def su_arrays(self, members: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
         """Feature-class vector and feature-feature table, rows of ``members`` filled.
@@ -202,8 +239,9 @@ class CorrelationCache:
         arrays, not copies.
         """
         for i in members:
-            for j in np.flatnonzero(np.isnan(self._ff[i])).tolist():
-                self._pair(i, j)
+            missing = np.flatnonzero(np.isnan(self._ff[i]))
+            if missing.size:
+                self._fill(i, missing)
         return self._class_su, self._ff
 
 

@@ -304,6 +304,58 @@ class TestStageFailures:
         assert f"invalid config file {config}: unknown key '{key}'" in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--seed", "-2"], "cv.seed must be non-negative"),
+            (["--seed", "-2", "--sample", "reference"], "sample.seed must be non-negative"),
+        ],
+        ids=["cv", "sample"],
+    )
+    def test_negative_run_seed_is_usage_error(self, small_synth, tmp_path, capsys, flags, message):
+        capsys.readouterr()
+        code = run_cli("run", "--input", small_synth, *flags, "--out", tmp_path / "o")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert [line for line in err.splitlines() if line.startswith("Error:")] == [
+            f"Error: {message}"
+        ]
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("section", ["cv", "sample"])
+    def test_negative_config_seed_names_the_key(self, small_synth, tmp_path, capsys, section):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"input_path": str(small_synth), section: {"seed": -1}}))
+        capsys.readouterr()
+        code = run_cli("run", "--config", config, "--out", tmp_path / "o")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"invalid config file {config}: {section}.seed must be non-negative" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "command, flags, option",
+        [
+            ("ingest", ["--sample-seed", "-1", "--sample", "reference"], "--sample-seed"),
+            ("ingest", ["--sample-seed", "-1"], "--sample-seed"),
+            ("reproduce-tables", ["--seed", "-1"], "--seed"),
+            ("reproduce-tables", ["--k", "1"], "--k"),
+            ("reproduce-tables", ["--rounds", "0"], "--rounds"),
+            ("reproduce-tables", ["--alpha", "2"], "--alpha"),
+        ],
+    )
+    def test_out_of_range_option_is_usage_error(
+        self, small_synth, tmp_path, capsys, command, flags, option
+    ):
+        capsys.readouterr()
+        code = run_cli(command, small_synth, *flags, "--out", tmp_path / "o")
+        err = capsys.readouterr().err
+        assert code == 1
+        errors = [line for line in err.splitlines() if line.startswith("Error:")]
+        assert len(errors) == 1 and errors[0].startswith(f"Error: Invalid value for '{option}'")
+        assert not (tmp_path / "o").exists()
+
     def test_config_section_that_is_not_an_object_is_named(self, small_synth, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"input_path": str(small_synth), "experiment": [1]}))

@@ -1,11 +1,13 @@
 import math
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from idspipe import discretize
 from idspipe.data import CONTINUOUS, DISCRETE
 from idspipe.discretize import (
     CutPointList,
@@ -14,6 +16,7 @@ from idspipe.discretize import (
     entropy,
     fit_discretizer,
     mdlp_cuts,
+    segment_entropies,
 )
 from idspipe.errors import SchemaError
 
@@ -199,6 +202,24 @@ class TestEntropy:
         positive = sum(1 for v in values if v > 0)
         assert -1e-12 <= h <= math.log2(positive) + 1e-12
 
+    @given(
+        st.lists(
+            st.lists(st.integers(1, 10**6), min_size=1, max_size=300), min_size=1, max_size=8
+        )
+    )
+    @settings(max_examples=100)
+    def test_segment_entropies_equal_entropy_of_each_segment(self, segments):
+        # segments longer than 128 take numpy's recursive pairwise sum
+        counts = np.concatenate([np.asarray(s, dtype=float) for s in segments])
+        lengths = np.array([len(s) for s in segments])
+        totals = np.array([sum(s) for s in segments], dtype=float)
+        got = segment_entropies(counts, lengths, totals)
+        assert [h.hex() for h in got.tolist()] == [entropy(s).hex() for s in segments]
+
+    def test_segment_entropies_scalar_total(self):
+        got = segment_entropies(np.array([1.0, 3.0, 2.0, 2.0, 4.0]), np.array([2, 2, 1]), 4)
+        assert got.tolist() == [entropy([1, 3]), 1.0, 0.0]
+
 
 class TestMdlpCuts:
     def test_clean_split_accepted(self):
@@ -275,6 +296,41 @@ class TestCutPointList:
             CutPointList(1, (1.0, 1.0))
 
 
+@st.composite
+def continuous_datasets(draw):
+    """1 to 8 continuous columns of differing split depths, 1 to 300 records.
+
+    Columns are constant, class-free noise, or class-dependent with heavy
+    ties or with many distinct values (deep recursion); 2 to 23 classes.
+    Returns the dataset and the records a fit sees: all of them, or all but
+    one class's, so that class is absent from the fit's labels.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_classes = draw(st.integers(2, 23))
+    n = draw(st.integers(1, 300))
+    y = rng.integers(0, n_classes, size=n)
+    columns = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["constant", "noise", "tied", "fine"]))
+        if kind == "constant":
+            values = np.full(n, draw(st.sampled_from([0.0, -1.5, 7.0])))
+        elif kind == "noise":
+            values = rng.integers(0, draw(st.integers(1, 40)), size=n).astype(float)
+        elif kind == "tied":
+            noise = rng.integers(0, draw(st.integers(1, 6)), size=n)
+            values = np.round((y * draw(st.sampled_from([0.5, 1.0, 3.0])) + noise) / 3, 3)
+        else:
+            values = y * draw(st.sampled_from([0.1, 1.0])) + rng.normal(size=n)
+        columns.append(values.tolist())
+    ds = toy_dataset(
+        columns, [f"class{v}" for v in y], kinds=[CONTINUOUS] * len(columns)
+    )
+    rows = np.arange(n)
+    if draw(st.booleans()) and len(set(y.tolist())) > 1:
+        rows = rows[y != y[draw(st.integers(0, n - 1))]]
+    return ds, rows
+
+
 class TestFitApply:
     def kinds(self, n_cont, n_disc=0):
         return [CONTINUOUS] * n_cont + [DISCRETE] * n_disc
@@ -313,6 +369,19 @@ class TestFitApply:
         model = fit_discretizer(ds)
         for idx, (values, _) in enumerate(columns, start=1):
             expected = mdlp_cuts(values[:n], labels)
+            assert [c.hex() for c in model.cuts_for(idx).cuts] == [c.hex() for c in expected]
+
+    @given(continuous_datasets(), st.sampled_from([1, 7, 1024]))
+    @settings(max_examples=60, deadline=None)
+    def test_fit_equals_reference_loop_per_column(self, dataset, batch):
+        # every level scores 1, about 7 or up to 1024 candidate cuts at a time
+        ds, rows = dataset
+        train = ds.subset(rows)
+        with mock.patch.object(discretize, "_BATCH", batch):
+            model = fit_discretizer(train)
+        labels = train.labels
+        for idx in train.schema.continuous_indices:
+            expected = reference_mdlp_cuts(train.column(idx), labels)
             assert [c.hex() for c in model.cuts_for(idx).cuts] == [c.hex() for c in expected]
 
     def test_apply_bins_and_passthrough(self):

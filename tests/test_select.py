@@ -3,12 +3,14 @@ import json
 import math
 from collections import Counter
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from idspipe import select
 from idspipe.errors import SchemaError
 from idspipe.select import (
     BEST_FIRST_STALE_LIMIT,
@@ -165,6 +167,24 @@ def wide_discrete_datasets(draw):
     return toy_dataset(columns, labels)
 
 
+@st.composite
+def redundant_discrete_datasets(draw):
+    """Wide discrete datasets with constant and duplicated columns."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 300))
+    labels = [f"c{v}" for v in rng.integers(0, draw(st.integers(1, 12)), size=n)]
+    columns = []
+    for _ in range(draw(st.integers(1, 9))):
+        kind = draw(st.sampled_from(["random", "constant", "duplicate"]))
+        if kind == "constant":
+            columns.append([draw(st.integers(0, 3))] * n)
+        elif kind == "duplicate" and columns:
+            columns.append(list(draw(st.sampled_from(columns))))
+        else:
+            columns.append(rng.integers(0, draw(st.integers(1, 15)), size=n).tolist())
+    return toy_dataset(columns, labels)
+
+
 class TestCorrelationCache:
     @given(wide_discrete_datasets())
     @settings(max_examples=100, deadline=None)
@@ -177,6 +197,34 @@ class TestCorrelationCache:
             for j in range(1, n + 1):
                 if j != i:
                     expected = symmetrical_uncertainty(ds.column(i), ds.column(j))
+                    assert cache.feature_feature(i, j).hex() == expected.hex()
+
+    @given(ds=redundant_discrete_datasets(), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_row_fills_in_any_order_bit_identical(self, ds, data):
+        # rows filled by su_arrays, in batches of 1 to all features per
+        # bincount, between single entries filled before and after
+        n = len(ds.schema)
+        budget = data.draw(st.sampled_from([1, len(ds), 3 * len(ds), 1 << 14]))
+        with mock.patch.object(select, "_KEY_BUDGET", budget):
+            cache = CorrelationCache(ds)
+        pairs = st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=4)
+        for i, j in data.draw(pairs):
+            cache.feature_feature(i, j)
+        order = data.draw(st.permutations(range(1, n + 1)))
+        cuts = sorted(data.draw(st.sets(st.integers(1, n), max_size=3)) | {n})
+        for members in (order[a:b] for a, b in zip([0, *cuts], cuts)):
+            class_su, table = cache.su_arrays(members)
+            assert not np.isnan(table[members]).any()
+        for i, j in data.draw(pairs):
+            cache.feature_feature(i, j)
+        for i in range(1, n + 1):
+            expected = symmetrical_uncertainty(ds.column(i), ds.labels)
+            assert float(class_su[i]).hex() == expected.hex()
+            for j in range(1, n + 1):
+                if j != i:
+                    expected = symmetrical_uncertainty(ds.column(i), ds.column(j))
+                    assert float(table[i, j]).hex() == expected.hex()
                     assert cache.feature_feature(i, j).hex() == expected.hex()
 
 

@@ -109,25 +109,65 @@ def test_benchmark_spans_are_reached(monkeypatch):
     assert selection_calls.count("CorrelationCache") == plan.k
 
 
+def four_column_dataset():
+    """Two discrete and two continuous columns over three classes, 60 records."""
+    rng = np.random.default_rng(1)
+    labels = ["abc"[v] for v in rng.integers(0, 3, size=60)]
+    shifted = (rng.normal(size=60) + [2.0 * "abc".index(lbl) for lbl in labels]).tolist()
+    return toy_dataset(
+        [list(labels), rng.integers(0, 4, size=60).tolist(), shifted, rng.normal(size=60)],
+        labels,
+        kinds=[DISCRETE, DISCRETE, CONTINUOUS, CONTINUOUS],
+    )
+
+
 def test_fold_safe_cv_codes_each_column_once(monkeypatch):
     # the folds slice the dataset's codes; encoding per fold would call
     # data.encode about k times per column
     calls = []
     count_calls(monkeypatch, data, "encode", calls)
-    rng = np.random.default_rng(1)
-    labels = ["abc"[v] for v in rng.integers(0, 3, size=60)]
-    shifted = (rng.normal(size=60) + [2.0 * "abc".index(lbl) for lbl in labels]).tolist()
-    ds = toy_dataset(
-        [list(labels), rng.integers(0, 4, size=60).tolist(), shifted, rng.normal(size=60)],
-        labels,
-        kinds=[DISCRETE, DISCRETE, CONTINUOUS, CONTINUOUS],
-    )
+    ds = four_column_dataset()
     config = ExperimentConfig(discretization="fold-safe", classifier=ClassifierConfig(rounds=3))
     k = 5
     report = evaluate.cross_validate(ds, config, k=k, seed=0)
     assert report.matrix.total == len(ds)
     # once per column and once for the labels, when the dataset was built
     assert len(calls) == len(ds.schema) + 1
+
+
+def test_fits_and_correlations_run_batched_kernels(monkeypatch):
+    # one MDLP worker call splits every continuous feature, and one SU
+    # kernel call fills a whole cache row; a per-feature or per-pair loop
+    # would call them once per feature or pair
+    ds = four_column_dataset()
+    calls = []
+    count_calls(monkeypatch, discretize, "_mdlp_cuts", calls)
+    model = discretize.fit_discretizer(ds)
+    assert calls == ["_mdlp_cuts"]
+    assert sum(len(c.cuts) for c in model.cut_lists) > 0
+
+    binned = discretize.apply_discretizer(model, ds)
+    fills = []
+    fill = select.CorrelationCache._fill
+    monkeypatch.setattr(
+        select.CorrelationCache,
+        "_fill",
+        lambda self, i, js: fills.append((i, js.tolist())) or fill(self, i, js),
+    )
+    cache = select.CorrelationCache(binned)
+    cache.su_arrays([2, 1, 3, 4])
+    assert [i for i, _ in fills] == [2, 1, 3]  # row 4 is full by then
+    fills.clear()
+    cache = select.CorrelationCache(binned)
+    cache.feature_feature(3, 1)
+    select.greedy_forward_search(binned, cache)
+    select.best_first_search(binned, cache)
+    for i in range(1, 5):
+        for j in range(1, 5):
+            cache.feature_feature(i, j)
+    pairs = [frozenset((i, j)) for i, js in fills for j in js]
+    assert sorted(map(sorted, set(pairs))) == [[i, j] for i in range(1, 5) for j in range(i + 1, 5)]
+    assert len(pairs) == len(set(pairs))  # each pair computed once
 
 
 def test_a_run_encodes_each_column_once(monkeypatch, synth_file, tmp_path):
