@@ -9,6 +9,9 @@ per-class values.
 
 from __future__ import annotations
 
+import gc
+import os
+import pickle
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
@@ -256,6 +259,101 @@ def cross_validate(ds: Dataset, config, k: int, seed: int) -> EvaluationReport:
     return cross_validate_plan(ds, config, plan, seed=seed)
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on."""
+    return len(os.sched_getaffinity(0))
+
+
+def _fold_share(fold_fn, folds):
+    """``(None, results)`` of ``fold_fn`` over ``folds``, or the first failure's ``(fold, exc)``."""
+    results = []
+    for fold in folds:
+        try:
+            results.append(fold_fn(fold))
+        except Exception as exc:
+            return fold, exc
+    return None, results
+
+
+def _send_share(fd: int, fold_fn, folds) -> None:
+    """Pickle a child's share of the folds into the pipe ``fd``."""
+    failed, outcome = _fold_share(fold_fn, folds)
+    try:
+        payload = pickle.dumps((failed, outcome))
+        pickle.loads(payload)  # an exception whose arguments do not round-trip fails here
+    except Exception as exc:
+        if failed is None:
+            raise
+        unsent = RuntimeError(
+            f"fold {failed} raised {type(outcome).__name__}, which cannot be sent to "
+            f"the parent process: {exc}"
+        )
+        payload = pickle.dumps((failed, unsent))
+    with os.fdopen(fd, "wb") as fh:
+        fh.write(payload)
+
+
+def _receive_share(pid: int, fd: int, folds) -> tuple:
+    """Read a child's pickled share from the pipe ``fd``, then reap the child."""
+    try:
+        with os.fdopen(fd, "rb") as fh:
+            payload = fh.read()
+    finally:
+        _, status = os.waitpid(pid, 0)
+    code = os.waitstatus_to_exitcode(status)
+    if code != 0 or not payload:
+        return folds[0], RuntimeError(
+            f"the worker for folds {list(folds)} exited with status {code} "
+            "before sending its results"
+        )
+    return pickle.loads(payload)
+
+
+def _map_folds(fold_fn, k: int) -> list:
+    """``[fold_fn(0), ..., fold_fn(k - 1)]``, on one process per usable CPU.
+
+    With ``n = min(k, usable_cpus())``, this process runs folds ``0, n,
+    2n, ...`` and forks ``n - 1`` children; child ``w`` runs folds ``w, w + n,
+    ...``, pickles its results into a pipe and leaves through ``os._exit``,
+    so no exit hook or stdio buffer of the parent runs twice. Every child is
+    reaped, also when this process's own share raises. A failed fold's
+    exception is re-raised here; when several folds fail, it is the first in
+    fold order, the one a single process would have raised.
+    """
+    n = min(k, usable_cpus())
+    children = []
+    shares = {}
+    gc.freeze()  # the collector leaves the objects children inherit untouched
+    try:
+        for w in range(1, n):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(read)
+                    _send_share(write, fold_fn, range(w, k, n))
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write)
+            children.append((w, pid, read))
+        shares[0] = _fold_share(fold_fn, range(0, k, n))
+    finally:
+        try:
+            for w, pid, read in children:
+                shares[w] = _receive_share(pid, read, range(w, k, n))
+        finally:
+            gc.unfreeze()
+    failures = [(failed, exc) for failed, exc in shares.values() if failed is not None]
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+    results = [None] * k
+    for w, (_, outcome) in shares.items():
+        results[w::n] = outcome
+    return results
+
+
 def cross_validate_plan(
     ds: Dataset,
     config,
@@ -266,50 +364,59 @@ def cross_validate_plan(
     """Cross-validate against an explicit fold plan (pooled predictions).
 
     In leaky mode ``fitted`` is the preprocessing already fitted on ``ds``
-    by :func:`fit_preprocessing`; it is fitted here when not given.
+    by :func:`fit_preprocessing`; it is fitted here when not given. The
+    folds run at once on the usable CPUs (:func:`_map_folds`).
     """
     label_set = ds.label_set()
-    preds = np.empty(len(ds), dtype=np.int64)
-    fold_selections: list[list[int]] = []
 
     if config.discretization == "leaky":
         if fitted is None:
             fitted = fit_preprocessing(ds, config)
         _, selection, reduced = fitted
-        for fold in range(plan.k):
-            train_idx = plan.train_indices(fold)
-            test_idx = plan.test_indices(fold)
-            preds[test_idx] = _fit_predict(
-                reduced.subset(train_idx),
-                reduced.subset(test_idx),
+
+        def run_fold(fold):
+            preds = _fit_predict(
+                reduced.subset(plan.train_indices(fold)),
+                reduced.subset(plan.test_indices(fold)),
                 label_set,
                 config.classifier,
             )
+            return preds, None
+
+    elif config.discretization == "fold-safe":
+
+        def run_fold(fold):
+            fold_fit = fit_preprocessing(ds.subset(plan.train_indices(fold)), config)
+            preds = _fit_predict(
+                fold_fit.reduced,
+                fold_fit.transform(ds.subset(plan.test_indices(fold))),
+                label_set,
+                config.classifier,
+            )
+            return preds, list(fold_fit.selection.subset.indices)
+
+    else:
+        raise ValueError(f"unknown discretization mode {config.discretization!r}")
+
+    preds = np.empty(len(ds), dtype=np.int64)
+    fold_selections = []  # fold-safe CV's selection of every fold
+    for fold, (fold_preds, fold_selection) in enumerate(_map_folds(run_fold, plan.k)):
+        preds[plan.test_indices(fold)] = fold_preds
+        fold_selections.append(fold_selection)
+
+    if config.discretization == "leaky":
         selection_desc = {
             "method": selection.method,
             "alpha": selection.alpha,
             "features": list(selection.subset.indices),
         }
-    elif config.discretization == "fold-safe":
-        for fold in range(plan.k):
-            train_idx = plan.train_indices(fold)
-            test_idx = plan.test_indices(fold)
-            fold_fit = fit_preprocessing(ds.subset(train_idx), config)
-            fold_selections.append(list(fold_fit.selection.subset.indices))
-            preds[test_idx] = _fit_predict(
-                fold_fit.reduced,
-                fold_fit.transform(ds.subset(test_idx)),
-                label_set,
-                config.classifier,
-            )
+    else:
         selection_desc = {
             "method": config.selection.method,
             "alpha": config.selection.alpha,
             "features": sorted(set().union(*fold_selections)) if fold_selections else [],
             "per_fold": fold_selections,
         }
-    else:
-        raise ValueError(f"unknown discretization mode {config.discretization!r}")
 
     descriptor = {
         "granularity": ds.granularity,

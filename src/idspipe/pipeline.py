@@ -221,7 +221,11 @@ TABLE_GRID = (
 )
 
 
-def reproduce_tables(
+# The two label granularities of reproduce-tables, with their file-name tags.
+TABLE_GRANULARITIES = ((ATTACK23, "23class"), (CATEGORY5, "5class"))
+
+
+def table_grid(
     input_path: str,
     output_dir: str,
     seed: int = 0,
@@ -229,8 +233,41 @@ def reproduce_tables(
     alpha: float | None = None,
     sample: bool = True,
     k: int = 10,
-) -> dict[str, Path]:
-    """Run the full selector-comparison grids at both label granularities.
+) -> list[PipelineConfig]:
+    """The configuration of every reproduce-tables row, in table order.
+
+    Every row is built before any of them runs, so an invalid setting (a NaN
+    ``alpha``, say) raises ValueError before any work is done.
+    """
+    out = Path(output_dir)
+    grid = []
+    for granularity, tag in TABLE_GRANULARITIES:
+        for method, row_alpha, boost in TABLE_GRID:
+            if granularity == CATEGORY5 and boost:
+                continue
+            effective_alpha = (
+                row_alpha
+                if row_alpha is not None
+                else (alpha if alpha is not None else DEFAULT_HYBRID_ALPHA)
+            )
+            grid.append(
+                PipelineConfig(
+                    input_path=input_path,
+                    granularity=granularity,
+                    sample=SampleConfig(seed=seed) if sample else None,
+                    experiment=ExperimentConfig(
+                        selection=SelectionConfig(method=method, alpha=effective_alpha),
+                        classifier=ClassifierConfig(boost=boost, rounds=rounds),
+                    ),
+                    cv=CrossValConfig(k=k, seed=seed),
+                    output_dir=str(out / f"{tag}-{method}{'-boost' if boost else ''}"),
+                )
+            )
+    return grid
+
+
+def reproduce_tables(grid: list[PipelineConfig], output_dir: str) -> dict[str, Path]:
+    """Run the selector-comparison grid of :func:`table_grid` at both label granularities.
 
     Emits one machine-readable JSON and one text table per granularity, plus
     a per-attack F-measure comparison of the hybrid pipeline with and
@@ -241,27 +278,13 @@ def reproduce_tables(
     written: dict[str, Path] = {}
     hybrid_reports: dict[bool, EvaluationReport] = {}
 
-    for granularity, tag in ((ATTACK23, "23class"), (CATEGORY5, "5class")):
+    for granularity, tag in TABLE_GRANULARITIES:
         rows = []
-        for method, row_alpha, boost in TABLE_GRID:
-            if granularity == CATEGORY5 and boost:
+        for config in grid:
+            if config.granularity != granularity:
                 continue
-            effective_alpha = (
-                row_alpha
-                if row_alpha is not None
-                else (alpha if alpha is not None else DEFAULT_HYBRID_ALPHA)
-            )
-            config = PipelineConfig(
-                input_path=input_path,
-                granularity=granularity,
-                sample=SampleConfig(seed=seed) if sample else None,
-                experiment=ExperimentConfig(
-                    selection=SelectionConfig(method=method, alpha=effective_alpha),
-                    classifier=ClassifierConfig(boost=boost, rounds=rounds),
-                ),
-                cv=CrossValConfig(k=k, seed=seed),
-                output_dir=str(out / f"{tag}-{method}{'-boost' if boost else ''}"),
-            )
+            method = config.experiment.selection.method
+            boost = config.experiment.classifier.boost
             result = run_experiment(config)
             report = result.report
             if granularity == ATTACK23 and method == "hybrid":
@@ -277,7 +300,7 @@ def reproduce_tables(
                     "fpr": report.weighted.fpr,
                 }
             )
-        payload = {"granularity": granularity, "seed": seed, "rows": rows}
+        payload = {"granularity": granularity, "seed": grid[0].cv.seed, "rows": rows}
         json_path = out / f"selector_comparison_{tag}.json"
         json_path.write_text(json_text(payload))
         written[json_path.name] = json_path

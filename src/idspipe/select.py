@@ -400,15 +400,60 @@ def best_first_search(
     return FeatureSubset(indices=best_subset, merit=best_merit)
 
 
-def _class_table(ds: Dataset, i: int) -> ContingencyTable:
-    """(value, class) counts of feature i."""
-    return ContingencyTable.from_codes(
-        ds.codes[i - 1], len(ds.vocabs[i - 1]), ds.label_codes, len(ds.label_vocab)
-    )
+# Scorers of a (feature value, class) table: information gain, gain ratio and
+# symmetrical uncertainty.
+_SCORERS = ("ig", "gainratio", "su")
 
 
-# Scores of one (feature value, class) table, by scorer name.
-_SCORERS = {"ig": _ig_from_table, "gainratio": _gain_ratio_from_table, "su": _su_from_table}
+def _class_scores(ds: Dataset, features: list[int], scorer: str) -> list[float]:
+    """``scorer`` of each feature's (value, class) table.
+
+    Bit for bit what :func:`_ig_from_table`, :func:`_gain_ratio_from_table`
+    or :func:`_su_from_table` gives for the table.
+
+    The tables' row, marginal and cell entropies come from one
+    :func:`segment_entropies` call each instead of one :func:`entropy` call
+    per table row. Every entropy sums its terms as ``entropy`` does, and
+    each H(Y|X) adds its rows' terms left to right from 0.0, as
+    :func:`_conditional_entropy` does.
+    """
+    if not features:
+        return []
+    n = len(ds)
+    if n == 0:
+        raise ValueError("contingency table is empty")
+    ncls = len(ds.label_vocab)
+    tables = [
+        np.bincount(
+            ds.codes[i - 1] * ncls + ds.label_codes, minlength=len(ds.vocabs[i - 1]) * ncls
+        )
+        .reshape(-1, ncls)
+        .astype(float)
+        for i in features
+    ]
+    hy = entropy(np.bincount(ds.label_codes, minlength=ncls))
+    row_totals = [t.sum(axis=1) for t in tables]
+    n_live = np.array([np.count_nonzero(r) for r in row_totals])  # rows with records
+    live_totals = np.concatenate([r[r > 0] for r in row_totals])
+    hx = segment_entropies(live_totals, n_live, n).tolist()  # H(X) of each table
+    if scorer == "su":
+        cells = [np.sort(t[t > 0]) for t in tables]
+        h_joint = segment_entropies(
+            np.concatenate(cells), np.array([len(c) for c in cells]), n
+        ).tolist()
+        return [
+            0.0 if ha == 0.0 or hy == 0.0 else _su_value(ha, hy, hj)
+            for ha, hj in zip(hx, h_joint)
+        ]
+    rows = np.concatenate([t[r > 0] for t, r in zip(tables, row_totals)])
+    positive = rows > 0
+    h_rows = segment_entropies(rows[positive], positive.sum(axis=1), live_totals)
+    weighted = ((live_totals / float(n)) * h_rows).tolist()
+    ends = np.cumsum(n_live).tolist()
+    ig = [hy - _sum_left_to_right(weighted[a:b]) for a, b in zip([0, *ends], ends)]
+    if scorer == "ig":
+        return ig
+    return [0.0 if h == 0.0 else g / h for g, h in zip(ig, hx)]
 
 
 def rank_threshold(
@@ -429,13 +474,12 @@ def rank_threshold(
         raise ValueError(f"unknown scorer {scorer!r}; expected one of {list(_SCORERS)}")
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
-    score_fn = _SCORERS[scorer]
     considered = (
         sorted(set(int(i) for i in include))
         if include is not None
         else list(range(1, len(ds.schema) + 1))
     )
-    scored = [(i, float(score_fn(_class_table(ds, i)))) for i in considered]
+    scored = list(zip(considered, _class_scores(ds, considered, scorer)))
     max_score = max((s for _, s in scored), default=0.0)
     if max_score <= 0.0:
         return RankedFeatures(entries=())

@@ -356,6 +356,20 @@ class TestStageFailures:
         assert len(errors) == 1 and errors[0].startswith(f"Error: Invalid value for '{option}'")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["run", "reproduce-tables"])
+    def test_nan_alpha_is_usage_error(self, small_synth, tmp_path, capsys, command):
+        # the range check lets NaN through; the configuration rejects it
+        # before any work is done
+        capsys.readouterr()
+        args = ["--input", small_synth] if command == "run" else [small_synth]
+        code = run_cli(command, *args, "--alpha", "nan", "--out", tmp_path / "o")
+        err = capsys.readouterr().err
+        assert code == 1
+        errors = [line for line in err.splitlines() if line.startswith("Error:")]
+        assert errors == ["Error: selection.alpha must lie in [0, 1]"]
+        assert "internal error" not in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_config_section_that_is_not_an_object_is_named(self, small_synth, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"input_path": str(small_synth), "experiment": [1]}))
@@ -562,10 +576,12 @@ class TestRunExperimentApi:
     @pytest.mark.parametrize("mode, fits", [("leaky", 1), ("fold-safe", 3 + 1)])
     def test_preprocessing_fits(self, small_synth, tmp_path, monkeypatch, mode, fits):
         # leaky CV and the deployment artifacts share one full-data fit;
-        # fold-safe CV fits per fold and once more for deployment
-        from idspipe import discretize
+        # fold-safe CV fits per fold and once more for deployment. One worker,
+        # so that every fold's fit is made, and counted, in this process.
+        from idspipe import discretize, evaluate
         from idspipe.config import ClassifierConfig, CrossValConfig, ExperimentConfig
 
+        monkeypatch.setattr(evaluate, "usable_cpus", lambda: 1)
         calls = []
         fit = discretize.fit_discretizer
         monkeypatch.setattr(

@@ -1,4 +1,7 @@
+import functools
 import json
+import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from idspipe import evaluate
 from idspipe.classify import train_classifier
+from idspipe.cli import main
 from idspipe.config import ClassifierConfig, ExperimentConfig, SelectionConfig
 from idspipe.data import (
     ATTACK_CATEGORY,
@@ -14,6 +19,7 @@ from idspipe.data import (
     DISCRETE,
     NORMAL,
     Dataset,
+    FoldPlan,
     json_text,
     stratified_folds,
 )
@@ -31,6 +37,8 @@ from idspipe.evaluate import (
     per_class_metrics,
 )
 from idspipe.pipeline import model_json
+
+from idspipe.synth import synthetic_lines
 
 from conftest import columns_of, toy_dataset
 
@@ -242,6 +250,111 @@ class TestCrossValidate:
         a = cross_validate(ds, cv_config(boost=True), k=5, seed=9)
         b = cross_validate(ds, cv_config(boost=True), k=5, seed=9)
         assert a.to_json() == b.to_json()
+
+
+def workers(n):
+    """Run cross-validation as if ``n`` CPUs were usable."""
+    return mock.patch.object(evaluate, "usable_cpus", return_value=n)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TwoArgError(Exception):
+    """Pickles, but does not unpickle: its one-argument ``args`` miss ``b``."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a} {b}")
+
+
+def failing_folds(bad, error=ValueError):
+    """FoldPlan.train_indices raising ``error(f"bad fold {fold}")`` for every fold in ``bad``."""
+    train_indices = FoldPlan.train_indices
+
+    def train_or_fail(self, fold):
+        if fold in bad:
+            raise error(f"bad fold {fold}")
+        return train_indices(self, fold)
+
+    return mock.patch.object(FoldPlan, "train_indices", train_or_fail)
+
+
+class TestFoldMap:
+    """The folds of a CV run are split over up to one forked process per usable CPU."""
+
+    @given(
+        seed=st.integers(0, 2**16),
+        n=st.integers(40, 90),
+        k=st.integers(2, 5),
+        mode=st.sampled_from(["leaky", "fold-safe"]),
+        boost=st.booleans(),
+        method=st.sampled_from(["cfs-greedy", "hybrid"]),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_report_and_selections_independent_of_workers(self, seed, n, k, mode, boost, method):
+        # with k = 2, three usable CPUs still fork only one child
+        ds = cv_dataset(seed, n=n)
+        plan = stratified_folds(ds, k, seed)
+        config = cv_config(boost=boost, method=method, mode=mode, rounds=2)
+        texts = []
+        for count in (1, 2, 3):
+            with workers(count):
+                texts.append(cross_validate_plan(ds, config, plan, seed=seed).to_json())
+        assert texts[1] == texts[0] and texts[2] == texts[0]
+        if mode == "fold-safe":
+            assert len(json.loads(texts[0])["descriptor"]["selection"]["per_fold"]) == k
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("exc_type", [ValueError, UnknownLabelError, KeyError])
+    @pytest.mark.parametrize("mode", ["leaky", "fold-safe"])
+    def test_child_error_is_raised_as_with_one_worker(self, exc_type, mode):
+        # fold 1 runs in a child when there are two workers or more
+        ds = cv_dataset(2)
+        plan = stratified_folds(ds, 4, 0)
+        raised = []
+        for count in (1, 2, 3):
+            with workers(count), failing_folds({1}, exc_type), pytest.raises(exc_type) as info:
+                cross_validate_plan(ds, cv_config(mode=mode), plan, seed=0)
+            raised.append((type(info.value), str(info.value)))
+            assert_no_child_left()
+        assert raised == [(exc_type, str(exc_type("bad fold 1")))] * 3
+
+    def test_first_failing_fold_wins(self):
+        # on two workers fold 2 fails in this process and fold 1 in the child
+        ds = cv_dataset(2)
+        plan = stratified_folds(ds, 4, 0)
+        for count in (1, 2):
+            with workers(count), failing_folds({1, 2}):
+                with pytest.raises(ValueError, match="bad fold 1$"):
+                    cross_validate_plan(ds, cv_config(), plan, seed=0)
+            assert_no_child_left()
+
+    def test_unpicklable_child_error_names_the_fold(self):
+        ds = cv_dataset(2)
+        plan = stratified_folds(ds, 4, 0)
+        error = functools.partial(TwoArgError, "unpicklable")
+        with workers(2), failing_folds({3}, error), pytest.raises(
+            RuntimeError, match="^fold 3 raised TwoArgError, which cannot be sent"
+        ):
+            cross_validate_plan(ds, cv_config(), plan, seed=0)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("mode", ["leaky", "fold-safe"])
+    def test_cli_exit_code_and_line_as_with_one_worker(self, tmp_path, capsys, mode):
+        src = tmp_path / "traffic.txt"
+        src.write_text("\n".join(synthetic_lines(200, seed=3)) + "\n")
+        outcomes = []
+        for count in (1, 2):
+            args = ["run", "--input", str(src), "--sample", "none", "--no-boost", "--k", "4",
+                    "--discretization", mode, "--out", str(tmp_path / f"o{count}")]
+            with workers(count), failing_folds({1}):
+                code = main(args)
+            err = capsys.readouterr().err
+            outcomes.append((code, err))
+            assert_no_child_left()
+        assert outcomes[0] == outcomes[1] == (2, "error: stage evaluate: bad fold 1\n")
 
 
 class TestReportSerialization:

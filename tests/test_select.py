@@ -549,6 +549,32 @@ class TestRankThreshold:
         ranked = dict(rank_threshold(ds, scorer, 0.0).entries)
         assert ranked == (expected if max(expected.values()) > 0.0 else {})
 
+    @given(
+        full=redundant_discrete_datasets(),
+        scorer=st.sampled_from(["ig", "gainratio", "su"]),
+        step=st.integers(1, 3),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_batched_scores_hex_equal_table_scores(self, full, scorer, step):
+        # every step-th record, so some values (empty rows) and classes are
+        # absent; constant columns and a single class are drawn too
+        ds = full.subset(np.arange(0, len(full), step))
+        features = list(range(1, len(ds.schema) + 1))
+        table_score = {
+            "ig": select._ig_from_table,
+            "gainratio": select._gain_ratio_from_table,
+            "su": select._su_from_table,
+        }[scorer]
+        expected = [
+            table_score(
+                ContingencyTable.from_codes(
+                    ds.codes[i - 1], len(ds.vocabs[i - 1]), ds.label_codes, len(ds.label_vocab)
+                )
+            ).hex()
+            for i in features
+        ]
+        assert [s.hex() for s in select._class_scores(ds, features, scorer)] == expected
+
     def test_gainratio_and_su_scorers_run(self):
         ds = planted_dataset(0)
         assert rank_threshold(ds, "gainratio", 0.3).indices[0] == 1

@@ -6,10 +6,12 @@ through them; a renamed or bypassed function silently zeroes a metric.
 
 import ast
 import importlib.util
+import os
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import idspipe
 from idspipe import classify, cli, data, discretize, evaluate, pipeline, select
@@ -94,7 +96,9 @@ def test_benchmark_spans_are_reached(monkeypatch):
     select.run_selection(ds, "hybrid", 0.3)
     assert sorted(selection_calls) == ["CorrelationCache", "greedy_forward_search"]
 
-    # fold-safe CV: discretize.fit.s, discretize.apply.s and select.cache_build.s
+    # fold-safe CV: discretize.fit.s, discretize.apply.s and select.cache_build.s,
+    # on one worker, so that every fold's calls are made, and counted, here
+    monkeypatch.setattr(evaluate, "usable_cpus", lambda: 1)
     count_calls(monkeypatch, discretize, "fit_discretizer", fold_calls)
     count_calls(monkeypatch, discretize, "apply_discretizer", fold_calls)
     selection_calls.clear()
@@ -107,6 +111,24 @@ def test_benchmark_spans_are_reached(monkeypatch):
     assert fold_calls.count("fit_discretizer") == plan.k
     assert fold_calls.count("apply_discretizer") == 2 * plan.k  # training and test fold
     assert selection_calls.count("CorrelationCache") == plan.k
+
+
+@pytest.mark.parametrize("cpus, k", [(1, 4), (2, 4), (3, 4), (4, 3), (2, 2)])
+def test_cv_forks_one_worker_per_usable_cpu(monkeypatch, cpus, k):
+    # min(k, cpus) workers: this process and min(k, cpus) - 1 forked children
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(1)  # in this process, before the child exists
+        return fork()
+
+    monkeypatch.setattr(evaluate, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(os, "fork", counted_fork)
+    ds = four_column_dataset()
+    report = evaluate.cross_validate(ds, ExperimentConfig(discretization="fold-safe"), k=k, seed=0)
+    assert report.matrix.total == len(ds)
+    assert len(forks) == min(k, cpus) - 1
 
 
 def four_column_dataset():
