@@ -50,7 +50,7 @@ from .evaluate import (
     cross_validate,
     per_class_metrics,
 )
-from .pipeline import reproduce_tables, run_experiment, table_grid
+from .pipeline import reproduce_tables, run_experiment
 from .select import (
     CorrelationCache,
     FeatureSubset,

@@ -17,16 +17,16 @@ import click
 import numpy as np
 
 from . import classify, data, discretize, pipeline, select
-from .config import DEFAULT_HYBRID_ALPHA, ClassifierConfig, PipelineConfig, SampleConfig
+from .config import (
+    DEFAULT_HYBRID_ALPHA,
+    ClassifierConfig,
+    PipelineConfig,
+    SampleConfig,
+    SelectionConfig,
+)
 from .errors import DataError, StageError
 from .evaluate import build_report
-from .pipeline import (
-    load_model_payload,
-    model_json,
-    reproduce_tables,
-    run_experiment,
-    table_grid,
-)
+from .pipeline import load_model_payload, model_json, reproduce_tables, run_experiment
 
 
 def _resolve_input(path: str) -> str:
@@ -255,19 +255,21 @@ def run_cmd(config_path, **kw):
 )
 def reproduce_tables_cmd(input_path, out, seed, rounds, alpha, k, sample):
     """Run the full selector-comparison grids at both granularities."""
-    try:
-        grid = table_grid(
-            _resolve_input(input_path),
-            out,
-            seed=seed,
-            rounds=rounds,
-            alpha=alpha,
-            sample=sample,
-            k=k,
-        )
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
-    written = reproduce_tables(grid, out)
+    if alpha is not None:
+        # the range check lets NaN through; reject it before any work is done
+        try:
+            SelectionConfig(method="hybrid", alpha=alpha)
+        except ValueError as exc:
+            raise click.UsageError(str(exc)) from exc
+    written = reproduce_tables(
+        _resolve_input(input_path),
+        out,
+        seed=seed,
+        rounds=rounds,
+        alpha=alpha,
+        sample=sample,
+        k=k,
+    )
     for name in sorted(written):
         click.echo(f"wrote {written[name]}")
 

@@ -9,9 +9,9 @@ per-class values.
 
 from __future__ import annotations
 
-import gc
 import os
 import pickle
+import warnings
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
@@ -260,7 +260,9 @@ def cross_validate(ds: Dataset, config, k: int, seed: int) -> EvaluationReport:
 
 
 def usable_cpus() -> int:
-    """CPUs this process may run on."""
+    """CPUs this process may run on; 1 where the platform cannot fork."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
     return len(os.sched_getaffinity(0))
 
 
@@ -309,42 +311,69 @@ def _receive_share(pid: int, fd: int, folds) -> tuple:
     return pickle.loads(payload)
 
 
+def _fork_share(fold_fn, folds) -> tuple[int, int] | None:
+    """Fork a child that sends its share of ``folds`` into a pipe.
+
+    Returns the child's pid and the pipe's read end, or None, with no
+    descriptor left open, when no pipe or process can be made.
+    """
+    fds = ()
+    try:
+        fds = read, write = os.pipe()
+        with warnings.catch_warnings():
+            # Python 3.12+ warns on every fork of a process with native
+            # threads (OpenBLAS starts some); a child only computes, pickles
+            # and leaves through os._exit
+            warnings.filterwarnings(
+                "ignore",
+                r"This process .* is multi-threaded, use of fork\(\)",
+                DeprecationWarning,
+            )
+            pid = os.fork()
+    except OSError:
+        for fd in fds:
+            os.close(fd)
+        return None
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read)
+            _send_share(write, fold_fn, folds)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write)
+    return pid, read
+
+
 def _map_folds(fold_fn, k: int) -> list:
     """``[fold_fn(0), ..., fold_fn(k - 1)]``, on one process per usable CPU.
 
     With ``n = min(k, usable_cpus())``, this process runs folds ``0, n,
     2n, ...`` and forks ``n - 1`` children; child ``w`` runs folds ``w, w + n,
     ...``, pickles its results into a pipe and leaves through ``os._exit``,
-    so no exit hook or stdio buffer of the parent runs twice. Every child is
-    reaped, also when this process's own share raises. A failed fold's
-    exception is re-raised here; when several folds fail, it is the first in
-    fold order, the one a single process would have raised.
+    so no exit hook or stdio buffer of the parent runs twice. A share whose
+    fork fails runs here instead. Every child is reaped, also when this
+    process's own share raises. A failed fold's exception is re-raised here;
+    when several folds fail, it is the first in fold order, the one a single
+    process would have raised.
     """
     n = min(k, usable_cpus())
+    local = [0]  # the shares run in this process
     children = []
     shares = {}
-    gc.freeze()  # the collector leaves the objects children inherit untouched
     try:
         for w in range(1, n):
-            read, write = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                code = 1
-                try:
-                    os.close(read)
-                    _send_share(write, fold_fn, range(w, k, n))
-                    code = 0
-                finally:
-                    os._exit(code)
-            os.close(write)
-            children.append((w, pid, read))
-        shares[0] = _fold_share(fold_fn, range(0, k, n))
+            forked = _fork_share(fold_fn, range(w, k, n))
+            if forked is None:
+                local.extend(range(w, n))
+                break
+            children.append((w, *forked))
+        for w in local:
+            shares[w] = _fold_share(fold_fn, range(w, k, n))
     finally:
-        try:
-            for w, pid, read in children:
-                shares[w] = _receive_share(pid, read, range(w, k, n))
-        finally:
-            gc.unfreeze()
+        for w, pid, read in children:
+            shares[w] = _receive_share(pid, read, range(w, k, n))
     failures = [(failed, exc) for failed, exc in shares.values() if failed is not None]
     if failures:
         raise min(failures, key=lambda f: f[0])[1]

@@ -221,11 +221,7 @@ TABLE_GRID = (
 )
 
 
-# The two label granularities of reproduce-tables, with their file-name tags.
-TABLE_GRANULARITIES = ((ATTACK23, "23class"), (CATEGORY5, "5class"))
-
-
-def table_grid(
+def reproduce_tables(
     input_path: str,
     output_dir: str,
     seed: int = 0,
@@ -233,41 +229,8 @@ def table_grid(
     alpha: float | None = None,
     sample: bool = True,
     k: int = 10,
-) -> list[PipelineConfig]:
-    """The configuration of every reproduce-tables row, in table order.
-
-    Every row is built before any of them runs, so an invalid setting (a NaN
-    ``alpha``, say) raises ValueError before any work is done.
-    """
-    out = Path(output_dir)
-    grid = []
-    for granularity, tag in TABLE_GRANULARITIES:
-        for method, row_alpha, boost in TABLE_GRID:
-            if granularity == CATEGORY5 and boost:
-                continue
-            effective_alpha = (
-                row_alpha
-                if row_alpha is not None
-                else (alpha if alpha is not None else DEFAULT_HYBRID_ALPHA)
-            )
-            grid.append(
-                PipelineConfig(
-                    input_path=input_path,
-                    granularity=granularity,
-                    sample=SampleConfig(seed=seed) if sample else None,
-                    experiment=ExperimentConfig(
-                        selection=SelectionConfig(method=method, alpha=effective_alpha),
-                        classifier=ClassifierConfig(boost=boost, rounds=rounds),
-                    ),
-                    cv=CrossValConfig(k=k, seed=seed),
-                    output_dir=str(out / f"{tag}-{method}{'-boost' if boost else ''}"),
-                )
-            )
-    return grid
-
-
-def reproduce_tables(grid: list[PipelineConfig], output_dir: str) -> dict[str, Path]:
-    """Run the selector-comparison grid of :func:`table_grid` at both label granularities.
+) -> dict[str, Path]:
+    """Run the full selector-comparison grids at both label granularities.
 
     Emits one machine-readable JSON and one text table per granularity, plus
     a per-attack F-measure comparison of the hybrid pipeline with and
@@ -278,13 +241,27 @@ def reproduce_tables(grid: list[PipelineConfig], output_dir: str) -> dict[str, P
     written: dict[str, Path] = {}
     hybrid_reports: dict[bool, EvaluationReport] = {}
 
-    for granularity, tag in TABLE_GRANULARITIES:
+    for granularity, tag in ((ATTACK23, "23class"), (CATEGORY5, "5class")):
         rows = []
-        for config in grid:
-            if config.granularity != granularity:
+        for method, row_alpha, boost in TABLE_GRID:
+            if granularity == CATEGORY5 and boost:
                 continue
-            method = config.experiment.selection.method
-            boost = config.experiment.classifier.boost
+            effective_alpha = (
+                row_alpha
+                if row_alpha is not None
+                else (alpha if alpha is not None else DEFAULT_HYBRID_ALPHA)
+            )
+            config = PipelineConfig(
+                input_path=input_path,
+                granularity=granularity,
+                sample=SampleConfig(seed=seed) if sample else None,
+                experiment=ExperimentConfig(
+                    selection=SelectionConfig(method=method, alpha=effective_alpha),
+                    classifier=ClassifierConfig(boost=boost, rounds=rounds),
+                ),
+                cv=CrossValConfig(k=k, seed=seed),
+                output_dir=str(out / f"{tag}-{method}{'-boost' if boost else ''}"),
+            )
             result = run_experiment(config)
             report = result.report
             if granularity == ATTACK23 and method == "hybrid":
@@ -300,7 +277,7 @@ def reproduce_tables(grid: list[PipelineConfig], output_dir: str) -> dict[str, P
                     "fpr": report.weighted.fpr,
                 }
             )
-        payload = {"granularity": granularity, "seed": grid[0].cv.seed, "rows": rows}
+        payload = {"granularity": granularity, "seed": seed, "rows": rows}
         json_path = out / f"selector_comparison_{tag}.json"
         json_path.write_text(json_text(payload))
         written[json_path.name] = json_path

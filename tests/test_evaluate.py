@@ -1,6 +1,7 @@
 import functools
 import json
 import os
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -355,6 +356,62 @@ class TestFoldMap:
             outcomes.append((code, err))
             assert_no_child_left()
         assert outcomes[0] == outcomes[1] == (2, "error: stage evaluate: bad fold 1\n")
+
+    @pytest.mark.parametrize("missing", ["fork", "sched_getaffinity"])
+    def test_platform_without_fork_runs_folds_here(self, monkeypatch, missing):
+        # macOS has no sched_getaffinity, Windows neither call
+        ds = cv_dataset(4)
+        plan = stratified_folds(ds, 4, 0)
+        with workers(1):
+            expected = cross_validate_plan(ds, cv_config(mode="fold-safe"), plan, seed=0)
+        monkeypatch.delattr(os, missing)
+        assert evaluate.usable_cpus() == 1
+        report = cross_validate_plan(ds, cv_config(mode="fold-safe"), plan, seed=0)
+        assert report.to_json() == expected.to_json()
+
+    @pytest.mark.parametrize("forks_made", [0, 1])
+    def test_failed_fork_runs_the_share_here(self, monkeypatch, forks_made):
+        # three workers: the first (forks_made = 0) or the second fork fails
+        ds = cv_dataset(5)
+        plan = stratified_folds(ds, 5, 0)
+        config = cv_config(mode="fold-safe")
+        with workers(1):
+            expected = cross_validate_plan(ds, config, plan, seed=0).to_json()
+        fork, forks = os.fork, []
+
+        def fork_until_limit():
+            if len(forks) == forks_made:
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            forks.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", fork_until_limit)
+        fds = os.listdir("/proc/self/fd")
+        with workers(3):
+            assert cross_validate_plan(ds, config, plan, seed=0).to_json() == expected
+        assert os.listdir("/proc/self/fd") == fds  # the failed fork's pipe is closed
+        assert len(forks) == forks_made
+        assert_no_child_left()
+
+    def test_fork_warning_of_threaded_process_is_silenced(self, monkeypatch):
+        # Python 3.12+ warns when a process with native threads forks, and
+        # the test configuration turns warnings into errors
+        fork = os.fork
+
+        def warning_fork():
+            warnings.warn(
+                f"This process (pid={os.getpid()}) is multi-threaded, use of fork() "
+                "may lead to deadlocks in the child.",
+                DeprecationWarning,
+            )
+            return fork()
+
+        monkeypatch.setattr(os, "fork", warning_fork)
+        ds = cv_dataset(3)
+        with workers(2):
+            report = cross_validate(ds, cv_config(), k=4, seed=0)
+        assert report.matrix.total == len(ds)
+        assert_no_child_left()
 
 
 class TestReportSerialization:
