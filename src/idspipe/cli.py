@@ -69,7 +69,7 @@ def ingest(input_path, out, granularity, sample, sample_seed):
     if manifest is not None:
         manifest_path = Path(out).with_name(Path(out).name + ".manifest.json")
         manifest_path.parent.mkdir(parents=True, exist_ok=True)
-        manifest_path.write_text(data.json_text(manifest))
+        manifest_path.write_text(data.json_line(manifest))
     if granularity == data.CATEGORY5:
         ds = data.map_labels(ds, data.CATEGORY5)
     data.write_dataset(ds, out)

@@ -9,10 +9,8 @@ from __future__ import annotations
 
 import copy
 import json
-import math
 from dataclasses import dataclass, field, replace
 from itertools import compress
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
@@ -190,79 +188,16 @@ NSLKDD_SCHEMA = FeatureSchema(_NSLKDD_FEATURES)
 
 
 def json_text(payload) -> str:
-    """Text of a JSON artifact: sorted keys, two-space indent, final newline.
+    """Text of a JSON file people read or edit: sorted keys, two-space indent."""
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
-    Every JSON file the pipeline writes goes through here, except the
-    one-line ``foldplan.json``. The text equals
-    ``json.dumps(payload, sort_keys=True, indent=2) + "\n"``; payloads that
-    need its rarer rules (non-finite floats, non-string keys, types JSON
-    cannot encode) are handed to it.
+
+def json_line(payload) -> str:
+    """Text of a machine record (model, sample, fold plan): sorted keys, one line.
+
+    Without an indent, ``json.dumps`` runs the C encoder.
     """
-    chunks: list[str] = []
-    try:
-        _json_chunks(payload, "\n", chunks.append)
-    except _Unusual:
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    chunks.append("\n")
-    return "".join(chunks)
-
-
-class _Unusual(Exception):
-    """A value ``_json_chunks`` leaves to ``json.dumps``."""
-
-
-def _json_chunks(o, newline: str, emit) -> None:
-    """Emit ``o`` as indented JSON, in the order of ``json.encoder``'s type checks.
-
-    ``newline`` is the line break plus the indent of the line ``o`` starts on.
-    """
-    if isinstance(o, str):
-        emit(encode_basestring_ascii(o))
-    elif o is None:
-        emit("null")
-    elif o is True:
-        emit("true")
-    elif o is False:
-        emit("false")
-    elif isinstance(o, int):
-        emit(int.__repr__(o))
-    elif isinstance(o, float):
-        if not math.isfinite(o):
-            raise _Unusual
-        emit(float.__repr__(o))
-    elif isinstance(o, (list, tuple)):
-        if not o:
-            emit("[]")
-            return
-        inner = newline + "  "
-        try:
-            # a list of floats, such as a probability table row, in one pass;
-            # non-finite reprs ("nan", "inf") are the only ones holding an "n"
-            floats = ("," + inner).join(map(float.__repr__, o))
-        except TypeError:
-            emit("[")
-            for i, v in enumerate(o):
-                emit("," + inner if i else inner)
-                _json_chunks(v, inner, emit)
-        else:
-            if "n" in floats:
-                raise _Unusual
-            emit("[" + inner + floats)
-        emit(newline + "]")
-    elif isinstance(o, dict):
-        if not o:
-            emit("{}")
-            return
-        if not all(isinstance(k, str) for k in o):
-            raise _Unusual
-        inner = newline + "  "
-        emit("{")
-        for i, k in enumerate(sorted(o)):
-            emit(("," + inner if i else inner) + encode_basestring_ascii(k) + ": ")
-            _json_chunks(o[k], inner, emit)
-        emit(newline + "}")
-    else:
-        raise _Unusual
+    return json.dumps(payload, sort_keys=True) + "\n"
 
 
 def check_discrete(ds: "Dataset", noun: str) -> None:

@@ -9,7 +9,6 @@ produce byte-identical files.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,6 +26,7 @@ from .data import (
     ATTACK23,
     CATEGORY5,
     Dataset,
+    json_line,
     json_text,
     map_labels,
     parse_records,
@@ -138,7 +138,7 @@ def model_json(kind: str, model: classify.EnsembleModel, features) -> str:
         "features": list(features),
         "model": model.to_payload(),
     }
-    return json_text(payload)
+    return json_line(payload)
 
 
 def load_model_payload(payload: dict):
@@ -169,10 +169,13 @@ def load_model_payload(payload: dict):
 
 def run_experiment(config: PipelineConfig) -> RunResult:
     """Execute ingest -> sample -> label-map -> CV evaluation -> artifacts."""
-    ds = _ingest(config.input_path)
-    ds, manifest = _sample(config.sample, ds)
+    ds, manifest = _sample(config.sample, _ingest(config.input_path))
     ds = _map(config, ds)
+    return _experiment(config, ds, manifest)
 
+
+def _experiment(config: PipelineConfig, ds: Dataset, manifest) -> RunResult:
+    """CV evaluation -> artifacts, on the ingested, sampled, label-mapped ``ds``."""
     try:
         plan = stratified_folds(ds, config.cv.k, config.cv.seed)
     except ValueError as exc:
@@ -195,9 +198,9 @@ def run_experiment(config: PipelineConfig) -> RunResult:
         artifacts[name] = path
 
     emit("config.json", config.to_json())
-    emit("foldplan.json", json.dumps(plan.to_payload(), sort_keys=True) + "\n")
+    emit("foldplan.json", json_line(plan.to_payload()))
     if manifest is not None:
-        emit("sample_manifest.json", json_text(manifest))
+        emit("sample_manifest.json", json_line(manifest))
     emit("discretizer.json", dmodel.to_json())
     emit("selection.json", selection.to_json())
     emit(
@@ -240,6 +243,9 @@ def reproduce_tables(
     out.mkdir(parents=True, exist_ok=True)
     written: dict[str, Path] = {}
     hybrid_reports: dict[bool, EvaluationReport] = {}
+    # map_labels only renames labels, so both granularities share one sample
+    sample_config = SampleConfig(seed=seed) if sample else None
+    ds, manifest = _sample(sample_config, _ingest(input_path))
 
     for granularity, tag in ((ATTACK23, "23class"), (CATEGORY5, "5class")):
         rows = []
@@ -254,7 +260,7 @@ def reproduce_tables(
             config = PipelineConfig(
                 input_path=input_path,
                 granularity=granularity,
-                sample=SampleConfig(seed=seed) if sample else None,
+                sample=sample_config,
                 experiment=ExperimentConfig(
                     selection=SelectionConfig(method=method, alpha=effective_alpha),
                     classifier=ClassifierConfig(boost=boost, rounds=rounds),
@@ -262,8 +268,7 @@ def reproduce_tables(
                 cv=CrossValConfig(k=k, seed=seed),
                 output_dir=str(out / f"{tag}-{method}{'-boost' if boost else ''}"),
             )
-            result = run_experiment(config)
-            report = result.report
+            report = _experiment(config, _map(config, ds), manifest).report
             if granularity == ATTACK23 and method == "hybrid":
                 hybrid_reports[boost] = report
             sel = report.descriptor["selection"]
@@ -285,25 +290,16 @@ def reproduce_tables(
         txt_path.write_text(_format_grid(granularity, rows))
         written[txt_path.name] = txt_path
 
-    if True in hybrid_reports and False in hybrid_reports:
-        cmp_path = out / "per_attack_f.txt"
-        cmp_path.write_text(
-            _format_attack_comparison(hybrid_reports[False], hybrid_reports[True])
-        )
-        written[cmp_path.name] = cmp_path
-        cmp_json = out / "per_attack_f.json"
-        per_attack = {
-            "unboosted": {
-                lbl: m.f_measure
-                for lbl, m in sorted(hybrid_reports[False].per_class.items())
-            },
-            "boosted": {
-                lbl: m.f_measure
-                for lbl, m in sorted(hybrid_reports[True].per_class.items())
-            },
-        }
-        cmp_json.write_text(json_text(per_attack))
-        written[cmp_json.name] = cmp_json
+    cmp_path = out / "per_attack_f.txt"
+    cmp_path.write_text(_format_attack_comparison(hybrid_reports[False], hybrid_reports[True]))
+    written[cmp_path.name] = cmp_path
+    cmp_json = out / "per_attack_f.json"
+    per_attack = {
+        name: {lbl: m.f_measure for lbl, m in sorted(hybrid_reports[boost].per_class.items())}
+        for name, boost in (("unboosted", False), ("boosted", True))
+    }
+    cmp_json.write_text(json_text(per_attack))
+    written[cmp_json.name] = cmp_json
     return written
 
 

@@ -4,8 +4,8 @@ import pytest
 
 from idspipe.cli import main
 from idspipe.config import PipelineConfig, SampleConfig
-from idspipe.data import read_dataset
-from idspipe.pipeline import run_experiment
+from idspipe.data import parse_records, read_dataset, sample_indices
+from idspipe.pipeline import load_model_payload, run_experiment
 from idspipe.synth import synthetic_lines
 
 
@@ -412,6 +412,59 @@ class TestModelArtifact:
         from_csv = json.loads((tmp_path / "b.json").read_text())
         assert from_run["matrix"] == from_csv["matrix"]
         assert from_run["weighted"]["f_measure"] > 0.8
+
+    def test_model_and_manifests_are_one_line(self, small_synth, tmp_path):
+        # machine records are one line that loads back to their payload
+        counts = {"normal": 40, "neptune": 20}
+        counts_path = tmp_path / "counts.json"
+        counts_path.write_text(json.dumps(counts))
+        run_dir, csv = tmp_path / "run", tmp_path / "sampled.csv"
+        assert run_cli(
+            "run", "--input", small_synth, "--sample", counts_path, "--seed", "3",
+            "--boost", "--rounds", "3", "--k", "3", "--out", run_dir,
+        ) == 0
+        assert run_cli(
+            "ingest", small_synth, "--out", csv, "--sample", counts_path,
+            "--sample-seed", "3",
+        ) == 0
+        with open(small_synth) as fh:
+            idx = sample_indices(parse_records(fh), counts, 3)
+        manifest = {"seed": 3, "target_counts": counts, "selected_indices": idx.tolist()}
+        model_text = (run_dir / "model.json").read_text()
+        kind, model, features = load_model_payload(json.loads(model_text))
+        model_payload = {
+            "version": 1, "type": kind, "features": features, "model": model.to_payload()
+        }
+        for path, payload in (
+            (run_dir / "model.json", model_payload),
+            (run_dir / "sample_manifest.json", manifest),
+            (tmp_path / "sampled.csv.manifest.json", manifest),
+        ):
+            text = path.read_text()
+            assert text.endswith("\n") and text.count("\n") == 1, path.name
+            assert json.loads(text) == payload, path.name
+
+    def test_indented_model_evaluates_the_same(self, small_synth, tmp_path):
+        # a model.json indented as earlier versions wrote it still loads
+        csv, disc = tmp_path / "ds.csv", tmp_path / "disc"
+        assert run_cli("ingest", small_synth, "--out", csv) == 0
+        assert run_cli("discretize", csv, "--out", disc) == 0
+        binned, selection = disc / "discretized.csv", tmp_path / "selection.json"
+        assert run_cli("select", binned, "--out", selection) == 0
+        model = tmp_path / "model.json"
+        assert run_cli(
+            "train", binned, "--selection", selection, "--boost", "--rounds", "3",
+            "--out", model,
+        ) == 0
+        indented = tmp_path / "indented.json"
+        payload = json.loads(model.read_text())
+        indented.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        for path in (model, indented):
+            out = tmp_path / f"report-{path.stem}.json"
+            assert run_cli("eval", binned, "--model", path, "--out", out) == 0
+        assert (tmp_path / "report-indented.json").read_bytes() == (
+            tmp_path / "report-model.json"
+        ).read_bytes()
 
 
 class TestRunArtifacts:

@@ -209,6 +209,40 @@ def test_a_run_encodes_each_column_once(monkeypatch, synth_file, tmp_path):
     assert len(calls) == len(data.NSLKDD_SCHEMA) + 1
 
 
+def test_reproduce_tables_parses_once(monkeypatch, synth_file, tmp_path):
+    # both granularities share one parse; each grid row starts at the label map
+    calls = []
+    count_calls(monkeypatch, data, "parse_records", calls)
+    written = pipeline.reproduce_tables(
+        str(synth_file), str(tmp_path), rounds=2, sample=False, k=3
+    )
+    assert "per_attack_f.json" in written
+    assert len([p for p in tmp_path.iterdir() if p.is_dir()]) == 13  # grid rows
+    assert calls == ["parse_records"]
+
+
+def test_only_data_writes_json():
+    # data.json_text and data.json_line are the package's JSON writers
+    writers = {"dump", "dumps"}
+    calls = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "data.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr in writers
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "json"
+            ) or (
+                isinstance(node, ast.ImportFrom)
+                and node.module == "json"
+                and writers & {alias.name for alias in node.names}
+            ):
+                calls.append(f"{path.name}:{node.lineno}")
+    assert calls == []
+
+
 def used_names(tree: ast.Module) -> set[str]:
     """Names a module reads, including those inside quoted annotations."""
     names = set()
