@@ -6,6 +6,11 @@ hybrid union selector), AdaBoost.M1 over discrete naive Bayes, and pooled
 k-fold cross-validated per-class evaluation.
 """
 
+import os
+
+# no idspipe step calls BLAS, so numpy's OpenBLAS needs no worker threads
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .config import (
     ClassifierConfig,
     CrossValConfig,

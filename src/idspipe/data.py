@@ -558,7 +558,7 @@ class FoldPlan:
         return np.flatnonzero(self.assignments != fold)
 
     def to_payload(self) -> dict:
-        return {"k": self.k, "assignments": [int(a) for a in self.assignments]}
+        return {"k": self.k, "assignments": self.assignments.tolist()}
 
 
 def stratified_folds(ds: Dataset, k: int, seed: int) -> FoldPlan:

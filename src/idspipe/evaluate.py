@@ -9,6 +9,7 @@ per-class values.
 
 from __future__ import annotations
 
+import math
 import os
 import pickle
 import warnings
@@ -259,11 +260,24 @@ def cross_validate(ds: Dataset, config, k: int, seed: int) -> EvaluationReport:
     return cross_validate_plan(ds, config, plan, seed=seed)
 
 
+_CPU_MAX = "/sys/fs/cgroup/cpu.max"
+
+
 def usable_cpus() -> int:
-    """CPUs this process may run on; 1 where the platform cannot fork."""
+    """CPUs this process may run on; 1 where the platform cannot fork.
+
+    The affinity mask, capped by the cgroup v2 quota in ``cpu.max`` rounded up.
+    """
     if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return 1
-    return len(os.sched_getaffinity(0))
+    cpus = len(os.sched_getaffinity(0))
+    try:
+        with open(_CPU_MAX) as fh:
+            quota, period = fh.read().split()
+        return min(cpus, max(1, math.ceil(int(quota) / int(period))))
+    except (OSError, ValueError, ZeroDivisionError):
+        # "max", no cgroup v2 file, or text that is not a quota: no cap
+        return cpus
 
 
 def _fold_share(fold_fn, folds):
@@ -322,8 +336,9 @@ def _fork_share(fold_fn, folds) -> tuple[int, int] | None:
         fds = read, write = os.pipe()
         with warnings.catch_warnings():
             # Python 3.12+ warns on every fork of a process with native
-            # threads (OpenBLAS starts some); a child only computes, pickles
-            # and leaves through os._exit
+            # threads (OpenBLAS starts some where numpy was imported before
+            # idspipe); a child only computes, pickles and leaves through
+            # os._exit
             warnings.filterwarnings(
                 "ignore",
                 r"This process .* is multi-threaded, use of fork\(\)",

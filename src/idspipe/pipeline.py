@@ -94,7 +94,7 @@ def _sample(sample: SampleConfig | None, ds: Dataset):
     manifest = {
         "seed": sample.seed,
         "target_counts": counts,
-        "selected_indices": [int(i) for i in idx],
+        "selected_indices": idx.tolist(),
     }
     return ds.subset(idx), manifest
 

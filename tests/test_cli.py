@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import idspipe
 from idspipe.cli import main
 from idspipe.config import PipelineConfig, SampleConfig
 from idspipe.data import parse_records, read_dataset, sample_indices
@@ -651,3 +656,29 @@ class TestRunExperimentApi:
         )
         run_experiment(config)
         assert len(calls) == fits
+
+
+def fresh_python(code, **env):
+    """Stdout of ``code`` in a new interpreter with no OPENBLAS_NUM_THREADS but ``env``'s."""
+    environ = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    src = str(Path(idspipe.__file__).resolve().parent.parent)
+    environ["PYTHONPATH"] = os.pathsep.join(filter(None, [src, environ.get("PYTHONPATH")]))
+    environ.update(env)
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=environ, capture_output=True, text=True, check=True
+    )
+    return done.stdout
+
+
+class TestProcessStart:
+    """Importing idspipe before numpy keeps OpenBLAS from starting worker threads."""
+
+    @pytest.mark.parametrize("env, expected", [({}, "1"), ({"OPENBLAS_NUM_THREADS": "2"}, "2")])
+    def test_default_of_one_thread_keeps_a_user_setting(self, env, expected):
+        code = "import idspipe, numpy, os; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        assert fresh_python(code, **env) == expected + "\n"
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc/self/task")
+    def test_process_has_one_thread_after_numpy_loads(self):
+        code = "import idspipe, numpy, os; print(len(os.listdir('/proc/self/task')))"
+        assert fresh_python(code) == "1\n"

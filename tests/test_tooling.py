@@ -282,6 +282,28 @@ def test_no_unused_imports():
     assert unused == []
 
 
+BLAS_NAMES = {"dot", "vdot", "matmul", "einsum", "tensordot", "inner", "linalg"}
+
+
+def test_no_blas_calls():
+    # idspipe/__init__.py starts OpenBLAS with one thread; BLAS work would
+    # need that default revisited
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                found.append(f"{path.name}:{node.lineno} @")
+            elif isinstance(node, ast.Attribute) and node.attr in BLAS_NAMES:
+                found.append(f"{path.name}:{node.lineno} .{node.attr}")
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id in BLAS_NAMES
+            ):
+                found.append(f"{path.name}:{node.lineno} {node.func.id}()")
+    assert found == []
+
+
 def test_package_exports_resolve():
     tree = ast.parse((PACKAGE / "__init__.py").read_text())
     exported = [
