@@ -9,7 +9,6 @@ per-class values.
 
 from __future__ import annotations
 
-import math
 import os
 import pickle
 import warnings
@@ -260,24 +259,11 @@ def cross_validate(ds: Dataset, config, k: int, seed: int) -> EvaluationReport:
     return cross_validate_plan(ds, config, plan, seed=seed)
 
 
-_CPU_MAX = "/sys/fs/cgroup/cpu.max"
-
-
 def usable_cpus() -> int:
-    """CPUs this process may run on; 1 where the platform cannot fork.
-
-    The affinity mask, capped by the cgroup v2 quota in ``cpu.max`` rounded up.
-    """
+    """CPUs this process may run on; 1 where the platform cannot fork."""
     if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return 1
-    cpus = len(os.sched_getaffinity(0))
-    try:
-        with open(_CPU_MAX) as fh:
-            quota, period = fh.read().split()
-        return min(cpus, max(1, math.ceil(int(quota) / int(period))))
-    except (OSError, ValueError, ZeroDivisionError):
-        # "max", no cgroup v2 file, or text that is not a quota: no cap
-        return cpus
+    return len(os.sched_getaffinity(0))
 
 
 def _fold_share(fold_fn, folds):

@@ -369,27 +369,6 @@ class TestFoldMap:
         report = cross_validate_plan(ds, cv_config(mode="fold-safe"), plan, seed=0)
         assert report.to_json() == expected.to_json()
 
-    @pytest.mark.parametrize(
-        "cpu_max, affinity, expected",
-        [
-            ("max 100000\n", 4, 4),
-            ("150000 100000\n", 4, 2),
-            ("50000 100000\n", 4, 1),
-            ("not a quota\n", 4, 4),
-            (None, 4, 4),  # no cgroup v2 cpu.max file
-            ("800000 100000\n", 3, 3),  # a quota above the affinity count
-        ],
-    )
-    def test_usable_cpus_capped_by_cgroup_quota(
-        self, monkeypatch, tmp_path, cpu_max, affinity, expected
-    ):
-        path = tmp_path / "cpu.max"
-        if cpu_max is not None:
-            path.write_text(cpu_max)
-        monkeypatch.setattr(evaluate, "_CPU_MAX", str(path))
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(affinity)))
-        assert evaluate.usable_cpus() == expected
-
     @pytest.mark.parametrize("forks_made", [0, 1])
     def test_failed_fork_runs_the_share_here(self, monkeypatch, forks_made):
         # three workers: the first (forks_made = 0) or the second fork fails
