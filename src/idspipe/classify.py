@@ -9,6 +9,7 @@ which keeps every stored probability positive.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from itertools import compress
 from typing import Iterator, Mapping, Sequence
@@ -42,9 +43,9 @@ class NaiveBayesModel:
     priors: np.ndarray
     feature_values: tuple[tuple, ...]
     cond: tuple[np.ndarray, ...]  # per feature: (n_values + 1, n_classes)
-    # per feature: value text -> table row; models fitted on one training
-    # set share these, so they are built once per set
-    _rows: tuple[dict[str, int], ...] | None = field(default=None, repr=False)
+    # models fitted on one training set, or voting in one ensemble, share
+    # this, so it is built once and finds a dataset's table rows once
+    _rows: _RowLookup | None = field(default=None, repr=False)
     _log_priors: np.ndarray = field(init=False, repr=False)
     _log_cond: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
@@ -52,7 +53,7 @@ class NaiveBayesModel:
         self._log_priors = np.log(self.priors)
         self._log_cond = tuple(np.log(c) for c in self.cond)
         if self._rows is None:
-            self._rows = _value_rows(self.feature_values)
+            self._rows = _RowLookup(self.feature_values)
 
     @property
     def n_features(self) -> int:
@@ -62,7 +63,7 @@ class NaiveBayesModel:
         """Unnormalized log posterior matrix (records x classes)."""
         return self.score_rows(self.record_rows(ds), len(ds))
 
-    def record_rows(self, ds: Dataset) -> list[np.ndarray]:
+    def record_rows(self, ds: Dataset) -> tuple[np.ndarray, ...]:
         """Table row of every record, per feature.
 
         Values are matched by their CSV text form, so a model fitted on
@@ -73,11 +74,9 @@ class NaiveBayesModel:
             raise SchemaError(
                 f"model has {self.n_features} features, dataset has {len(ds.schema)}"
             )
-        rows = []
-        for f, (codes, vocab) in enumerate(zip(ds.codes, ds.vocabs)):
-            index, unseen = self._rows[f], len(self.feature_values[f])
-            lookup = np.asarray([index.get(str(v), unseen) for v in vocab], dtype=np.int64)
-            rows.append(_checked_rows(lookup, len(self.cond[f]), f)[codes])
+        lookups, rows = self._rows.find(ds)
+        for f, lookup in enumerate(lookups):
+            _checked_rows(lookup, len(self.cond[f]), f)
         return rows
 
     def score_rows(self, rows: Sequence[np.ndarray], n: int) -> np.ndarray:
@@ -123,9 +122,31 @@ class NaiveBayesModel:
         )
 
 
-def _value_rows(feature_values: Sequence[tuple]) -> tuple[dict[str, int], ...]:
-    """Per feature: a value's CSV text form -> its table row."""
-    return tuple({str(v): i for i, v in enumerate(values)} for values in feature_values)
+class _RowLookup:
+    """Per feature: a value's CSV text form -> its table row.
+
+    Values without a row take the reserved one after the last. The rows found
+    for the last dataset looked up are kept, read-only, so every model sharing
+    the lookup scores that dataset without finding them again.
+    """
+
+    def __init__(self, feature_values: Sequence[tuple]):
+        self.texts = tuple(tuple(map(str, values)) for values in feature_values)
+        self.index = tuple({t: i for i, t in enumerate(texts)} for texts in self.texts)
+        self._last: tuple[weakref.ref, tuple] | None = None
+
+    def find(self, ds: Dataset) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+        """Per feature: the row of every vocabulary value, and of every record."""
+        if self._last is None or self._last[0]() is not ds:
+            lookups = tuple(
+                np.asarray([index.get(str(v), len(texts)) for v in vocab], dtype=np.int64)
+                for index, texts, vocab in zip(self.index, self.texts, ds.vocabs)
+            )
+            rows = tuple(lookup[codes] for lookup, codes in zip(lookups, ds.codes))
+            for array in (*lookups, *rows):
+                array.flags.writeable = False
+            self._last = (weakref.ref(ds), (lookups, rows))
+        return self._last[1]
 
 
 def _checked_rows(rows: np.ndarray, n_rows: int, f: int) -> np.ndarray:
@@ -147,7 +168,7 @@ class _TrainingSet:
     labels: tuple[str, ...]
     y: np.ndarray
     feature_values: tuple[tuple, ...]
-    value_rows: tuple[dict[str, int], ...]
+    value_rows: _RowLookup
     rows: tuple[np.ndarray, ...]
 
     @classmethod
@@ -160,7 +181,7 @@ class _TrainingSet:
             feature_values.append(tuple(compress(vocab, present)))
             row_of_code = np.cumsum(present) - 1
             rows.append(_checked_rows(row_of_code[codes], len(feature_values[-1]) + 1, f))
-        return cls(labels, y, tuple(feature_values), _value_rows(feature_values), tuple(rows))
+        return cls(labels, y, tuple(feature_values), _RowLookup(feature_values), tuple(rows))
 
 
 def train_naive_bayes(
@@ -250,6 +271,11 @@ class EnsembleModel:
             raise ValueError("ensemble needs at least one round")
         if any(vote <= 0 for _, vote in self.rounds):
             raise ValueError("vote weights must be positive")
+        # rounds whose values read the same share one lookup (models loaded
+        # from a file hold equal but distinct ones)
+        shared: dict[tuple, _RowLookup] = {}
+        for model, _ in self.rounds:
+            model._rows = shared.setdefault(model._rows.texts, model._rows)
 
     def vote_matrix(self, ds: Dataset) -> np.ndarray:
         """Summed vote weight per (record, class)."""

@@ -125,14 +125,15 @@ def select_cmd(dataset_path, method, alpha, out):
 @pipeline._stage("train")
 def train_cmd(dataset_path, selection_path, boost, rounds, smoothing, out):
     """Train the (optionally boosted) naive Bayes classifier."""
-    ds = data.read_dataset(_resolve_input(dataset_path))
-    features = list(range(1, len(ds.schema) + 1))
+    features = None
     if selection_path:
         result = data.read_json(
             selection_path, select.SelectionResult.from_payload, "selection file"
         )
         features = list(result.subset.indices)
-        ds = ds.project(features)
+    ds = data.read_dataset(_resolve_input(dataset_path), features)
+    if features is None:
+        features = list(range(1, len(ds.schema) + 1))
     config = ClassifierConfig(boost=boost, rounds=rounds, smoothing=smoothing)
     model = classify.train_classifier(ds, config)
     Path(out).parent.mkdir(parents=True, exist_ok=True)
@@ -147,9 +148,9 @@ def train_cmd(dataset_path, selection_path, boost, rounds, smoothing, out):
 @pipeline._stage("eval")
 def eval_cmd(dataset_path, model_path, out):
     """Evaluate a trained model on a held-out discrete dataset."""
-    ds = data.read_dataset(_resolve_input(dataset_path))
     kind, model, features = data.read_json(model_path, load_model_payload, "model file")
-    codes = classify.ensemble_predict_batch(model, ds.project(features))
+    ds = data.read_dataset(_resolve_input(dataset_path), features)
+    codes = classify.ensemble_predict_batch(model, ds)
     preds = np.asarray(model.labels, dtype=object)[codes]
     label_set = sorted(set(model.labels) | set(ds.label_set()))
     report = build_report(

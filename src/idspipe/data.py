@@ -367,10 +367,7 @@ class Dataset:
 
     def project(self, feature_indices: Iterable[int]) -> "Dataset":
         """Keep only the given 1-based features (order preserved ascending)."""
-        kept = sorted(set(int(i) for i in feature_indices))
-        for i in kept:
-            if not 1 <= i <= len(self.schema):
-                raise SchemaError(f"feature index {i} outside schema")
+        kept = _kept_features(self.schema, feature_indices)
         return self._derive(
             schema=FeatureSchema(tuple(self.schema.features[i - 1] for i in kept)),
             codes=tuple(self.codes[i - 1] for i in kept),
@@ -391,16 +388,93 @@ class Dataset:
         return self._derive(schema=schema, codes=tuple(codes), vocabs=tuple(vocabs))
 
 
-def parse_records(lines: Iterable[str], schema: FeatureSchema = NSLKDD_SCHEMA) -> Dataset:
+# Lines parsed and coded together. Each block's field strings are dropped
+# before the next block is read, so a parse never holds a whole file's fields.
+_BLOCK_LINES = 1024
+
+
+def _kept_features(schema: FeatureSchema, feature_indices: Iterable[int]) -> list[int]:
+    """The given 1-based features, ascending and once each; SchemaError outside ``schema``."""
+    kept = sorted(set(int(i) for i in feature_indices))
+    for i in kept:
+        if not 1 <= i <= len(schema):
+            raise SchemaError(f"feature index {i} outside schema")
+    return kept
+
+
+def _float_block(raw, idx: int, schema: FeatureSchema, linenos: list[int]) -> np.ndarray:
+    """One block of a continuous column; ParseError names the first bad field's line."""
+    try:
+        col = np.asarray(raw, dtype=float)
+    except ValueError:
+        col = None
+    if col is None or not np.isfinite(col).all():
+        for value, lineno in zip(raw, linenos):  # locate the bad field
+            try:
+                parsed = float(value)
+            except ValueError:
+                raise ParseError(
+                    f"line {lineno}: feature {idx} "
+                    f"({schema.name(idx)}) is not numeric: {value!r}"
+                ) from None
+            if not np.isfinite(parsed):
+                raise ParseError(f"line {lineno}: feature {idx} is not finite: {value!r}")
+    return col
+
+
+def _first_seen_codes(index: dict, raw) -> np.ndarray:
+    """Codes of one block's values in order of first appearance; ``index`` grows."""
+    new = set(raw).difference(index)
+    index.update(zip(new, range(len(index), len(index) + len(new))))
+    return np.fromiter(map(index.__getitem__, raw), dtype=np.int64, count=len(raw))
+
+
+def _sorted_codes(index: dict, blocks: list[np.ndarray]) -> tuple[np.ndarray, tuple]:
+    """First-seen codes of every block recoded over the sorted vocabulary."""
+    remap, vocab = encode(np.asarray(list(index), dtype=object))
+    return remap[np.concatenate(blocks)], vocab
+
+
+def parse_records(
+    lines: Iterable[str],
+    schema: FeatureSchema = NSLKDD_SCHEMA,
+    features: Iterable[int] | None = None,
+) -> Dataset:
     """Parse comma-separated records: 41 features, label, optional difficulty.
 
     The difficulty column (43rd field) is accepted and discarded. Unknown
     labels are kept verbatim; they are validated when mapping granularities.
+    ``features`` keeps only those 1-based features, as
+    :meth:`Dataset.project` would, but every line's field count and every
+    continuous field is still checked.
+
+    Lines are coded ``_BLOCK_LINES`` at a time: continuous fields as floats,
+    discrete fields and labels as first-seen codes. At the end each column
+    is encoded once over its sorted vocabulary. A file with faults in
+    several blocks reports the first faulty block's error.
     """
     nfeat = len(schema)
-    cont = set(schema.continuous_indices)
+    kept = list(range(1, nfeat + 1)) if features is None else _kept_features(schema, features)
+    continuous = schema.continuous_indices
+    floats = {i: [np.empty(0)] for i in kept if schema.kind(i) == CONTINUOUS}
+    # discrete columns and the label (field nfeat + 1): first-seen index, codes
+    ints = {
+        i: ({}, [np.empty(0, dtype=np.int64)]) for i in (*kept, nfeat + 1) if i not in floats
+    }
     rows: list[list[str]] = []
     linenos: list[int] = []
+
+    def code_block() -> None:
+        columns = list(zip(*rows))
+        for idx in continuous:
+            col = _float_block(columns[idx - 1], idx, schema, linenos)
+            if idx in floats:
+                floats[idx].append(col)
+        for idx, (index, blocks) in ints.items():
+            blocks.append(_first_seen_codes(index, columns[idx - 1]))
+        rows.clear()
+        linenos.clear()
+
     for lineno, line in enumerate(lines, 1):
         line = line.strip()
         if not line:
@@ -411,41 +485,29 @@ def parse_records(lines: Iterable[str], schema: FeatureSchema = NSLKDD_SCHEMA) -
                 f"line {lineno}: expected {nfeat + 1} or {nfeat + 2} fields, "
                 f"got {len(fields)}"
             )
-        rows.append(fields[: nfeat + 1])
+        rows.append(fields)
         linenos.append(lineno)
+        if len(rows) == _BLOCK_LINES:
+            code_block()
     if rows:
-        transposed = list(zip(*rows))
-        labels = np.asarray(transposed[nfeat], dtype=object)
-    else:
-        transposed = [() for _ in range(nfeat + 1)]
-        labels = np.asarray([], dtype=object)
-    columns = []
-    for idx in range(1, nfeat + 1):
-        raw = transposed[idx - 1]
-        if idx in cont:
-            try:
-                col = np.asarray(raw, dtype=float)
-            except ValueError:
-                col = None
-            if col is None or not np.isfinite(col).all():
-                for row_pos, value in enumerate(raw):  # locate the bad field
-                    try:
-                        parsed = float(value)
-                    except ValueError:
-                        raise ParseError(
-                            f"line {linenos[row_pos]}: feature {idx} "
-                            f"({schema.name(idx)}) is not numeric: {value!r}"
-                        ) from None
-                    if not np.isfinite(parsed):
-                        raise ParseError(
-                            f"line {linenos[row_pos]}: feature {idx} "
-                            f"is not finite: {value!r}"
-                        )
-            columns.append(col)
-        else:
-            columns.append(np.asarray(raw, dtype=object))
-    del rows, transposed  # freed before encoding, which would add to the peak memory
-    return Dataset.from_columns(schema, columns, labels, np.ones(len(labels)))
+        code_block()
+
+    coded = [
+        # adding 0.0 turns -0.0, which equals 0.0, into 0.0
+        encode(np.concatenate(floats.pop(i)) + 0.0)
+        if i in floats
+        else _sorted_codes(*ints.pop(i))
+        for i in kept
+    ]
+    label_codes, label_vocab = _sorted_codes(*ints.pop(nfeat + 1))
+    return Dataset(
+        FeatureSchema(tuple(schema.features[i - 1] for i in kept)),
+        tuple(c for c, _ in coded),
+        tuple(v for _, v in coded),
+        label_codes,
+        label_vocab,
+        np.ones(len(label_codes)),
+    )
 
 
 def _format_value(value) -> str:
@@ -485,8 +547,11 @@ def read_json(path, decode, noun: str):
         raise DataError(f"malformed {noun} {path}: {exc}") from exc
 
 
-def read_dataset(path) -> Dataset:
-    """Read a dataset CSV; honors a ``<path>.schema.json`` sidecar if present."""
+def read_dataset(path, features: Iterable[int] | None = None) -> Dataset:
+    """Read a dataset CSV; honors a ``<path>.schema.json`` sidecar if present.
+
+    ``features`` keeps only those 1-based features (see :func:`parse_records`).
+    """
     path = Path(path)
     sidecar = path.with_name(path.name + ".schema.json")
     schema = NSLKDD_SCHEMA
@@ -498,7 +563,7 @@ def read_dataset(path) -> Dataset:
             "schema sidecar",
         )
     with open(path, "r", encoding="utf-8") as fh:
-        ds = parse_records(fh, schema=schema)
+        ds = parse_records(fh, schema=schema, features=features)
     if granularity != ATTACK23:
         ds = replace(ds, granularity=granularity)
     return ds

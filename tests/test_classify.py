@@ -266,7 +266,7 @@ class TestScoringKernel:
 
     def test_corrupted_row_index_raises_instead_of_clipping(self):
         model = train_naive_bayes(hand_dataset())
-        model._rows[0]["x"] = 3  # one past the reserved row of a 3-row table
+        model._rows.index[0]["x"] = 3  # one past the reserved row of a 3-row table
         with pytest.raises(DataError, match="feature 1"):
             model.log_posteriors(hand_dataset())
 
@@ -412,6 +412,22 @@ class TestEnsemblePredict:
         nb = train_naive_bayes(ds)
         nb_again = NaiveBayesModel.from_payload(nb.to_payload())
         assert np.array_equal(nb.log_posteriors(ds), nb_again.log_posteriors(ds))
+
+    @pytest.mark.parametrize("loaded", [False, True], ids=["fitted", "loaded"])
+    def test_rounds_find_a_datasets_rows_once(self, loaded):
+        ds = random_dataset(9, n=60)
+        ensemble = train_adaboost_m1(ds, rounds=4)
+        if loaded:  # equal but distinct value lists in every round
+            _, ensemble, _ = load_model_payload(json.loads(ensemble_text(ensemble)))
+        assert len(ensemble.rounds) > 1
+        other = ds.subset(np.arange(0, len(ds), 3))
+        for scored in (ds, other, ds):
+            found = [model.record_rows(scored) for model, _ in ensemble.rounds]
+            assert all(rows is found[0] for rows in found)
+            votes = np.zeros((len(scored), len(ensemble.labels)))
+            for model, vote in ensemble.rounds:  # rows found afresh every round
+                votes[np.arange(len(scored)), nb_predict_batch(model, recoded(scored))] += vote
+            assert np.array_equal(ensemble.vote_matrix(scored), votes)
 
 
 class TestTrainClassifier:

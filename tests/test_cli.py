@@ -240,6 +240,14 @@ class TestStageFailures:
             ("{tmp}/s.json", '{"method": "hybrid"}',
              ["train", "{raw}", "--selection", "{side}", "--out", "{tmp}/m.json"],
              "train", "'indices'"),
+            ("{tmp}/s.json", '{"method": "hybrid", "indices": [5, 42]}',
+             ["train", "{raw}", "--selection", "{side}", "--out", "{tmp}/m.json"],
+             "train", "feature index 42 outside schema"),
+            ("{tmp}/m.json", json.dumps({"type": "nb", "features": [0], "model": {
+                "labels": ["a"], "smoothing": 1.0, "priors": [1.0],
+                "features": [{"values": ["x"], "cond": [[1.0], [1.0]]}]}}),
+             ["eval", "{raw}", "--model", "{side}", "--out", "{tmp}/r.json"],
+             "eval", "feature index 0 outside schema"),
             ("{tmp}/c.json", "[3]",
              ["ingest", "{synth}", "--out", "{tmp}/x.csv", "--sample", "{side}"],
              "sample", "{side}"),
@@ -248,7 +256,8 @@ class TestStageFailures:
              "sample", "{side}"),
         ],
         ids=["sidecar-empty", "sidecar-schema-not-a-list", "sidecar-a-list",
-             "selection-without-indices", "ingest-counts-a-list", "run-counts-a-list"],
+             "selection-without-indices", "selection-outside-schema",
+             "model-features-outside-schema", "ingest-counts-a-list", "run-counts-a-list"],
     )
     def test_malformed_side_file_is_a_data_error_naming_it(
         self, small_synth, raw_csv, tmp_path, capsys, side, text, args, stage, named

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from bisect import bisect_right
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from idspipe import data
 from idspipe.config import ClassifierConfig, ExperimentConfig, SelectionConfig
 from idspipe.data import (
     ATTACK23,
@@ -15,6 +17,7 @@ from idspipe.data import (
     CONTINUOUS,
     DISCRETE,
     Dataset,
+    FeatureSchema,
     FoldPlan,
     NORMAL,
     NSLKDD_SCHEMA,
@@ -25,6 +28,7 @@ from idspipe.data import (
     json_text,
     map_labels,
     parse_records,
+    read_dataset,
     reference_sample_counts,
     sample_indices,
     serialize_records,
@@ -33,6 +37,7 @@ from idspipe.data import (
 from idspipe.discretize import CutPointList, DiscretizationModel, apply_discretizer
 from idspipe.errors import ParseError, SamplingError, SchemaError, UnknownLabelError
 from idspipe.evaluate import cross_validate
+from idspipe.synth import synthetic_lines
 
 from conftest import columns_of, toy_dataset
 
@@ -118,6 +123,133 @@ class TestParse:
         ds = parse_records(lines)
         again = parse_records(list(serialize_records(ds)))
         assert again == ds
+
+
+# Two continuous and two discrete features, for record files drawn at random.
+SMALL_SCHEMA = FeatureSchema(
+    (("c1", CONTINUOUS), ("d1", DISCRETE), ("c2", CONTINUOUS), ("d2", DISCRETE))
+)
+FLOAT_TEXTS = st.one_of(
+    st.sampled_from(["0", "-0", "0.0", "1", "1.0", ".5", "-3", "1e3", "0.10", "+2"]),
+    st.integers(-(10**6), 10**6).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+)
+WORDS = st.sampled_from(["tcp", "udp", "SF", "0", "0.0", "1", "private"])
+
+
+@st.composite
+def record_files(draw):
+    """Lines of SMALL_SCHEMA records, some with a difficulty field, and blank lines."""
+    record = st.tuples(FLOAT_TEXTS, WORDS, FLOAT_TEXTS, WORDS, WORDS).map(",".join)
+    line = st.one_of(
+        record,
+        st.tuples(record, st.integers(0, 21).map(str)).map(",".join),
+        st.sampled_from(["", "  ", "\n"]),
+    )
+    return draw(st.lists(line, max_size=12))
+
+
+def coding(ds):
+    """Codes, vocabularies with their Python types, and labels of ``ds``."""
+    return (
+        [c.tolist() for c in ds.codes],
+        [[(type(v), repr(v)) for v in vocab] for vocab in ds.vocabs],
+        ds.label_codes.tolist(),
+        ds.label_vocab,
+    )
+
+
+def bad_field(text):
+    """A record whose src-bytes field (feature 5) is ``text``."""
+    fields = make_line().split(",")
+    fields[4] = text
+    return ",".join(fields)
+
+
+class TestBlockParse:
+    @given(lines=record_files(), features=st.sets(st.integers(1, 4)))
+    @settings(max_examples=150, deadline=None)
+    def test_blocks_of_any_size_code_as_one_block(self, lines, features):
+        whole = parse_records(lines, SMALL_SCHEMA)
+        assert whole.weights.tolist() == [1.0] * len(whole)
+        for block in (1, 2, 3):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(data, "_BLOCK_LINES", block)
+                assert coding(parse_records(lines, SMALL_SCHEMA)) == coding(whole)
+                kept = parse_records(lines, SMALL_SCHEMA, features=features)
+            assert kept == whole.project(features)
+            assert coding(kept) == coding(whole.project(features))
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (",".join(["0"] * 40), "line 8: expected 42 or 43 fields, got 40"),
+            (bad_field("oops"), "line 8: feature 5 (src-bytes) is not numeric: 'oops'"),
+            (bad_field("inf"), "line 8: feature 5 is not finite: 'inf'"),
+            (bad_field("nan"), "line 8: feature 5 is not finite: 'nan'"),
+        ],
+        ids=["field-count", "non-numeric", "infinite", "nan"],
+    )
+    def test_a_fault_in_a_later_block_names_its_line(self, monkeypatch, bad, message):
+        monkeypatch.setattr(data, "_BLOCK_LINES", 3)
+        good = make_line()
+        lines = [good, "", good, good, good, "", good, bad, good, good]  # bad in block 2
+        with pytest.raises(ParseError) as info:
+            parse_records(lines)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "second_fault, message",
+        [
+            (5, "line 2: feature 5 (src-bytes) is not numeric"),
+            (3, "line 3: expected 42 or 43 fields"),
+        ],
+        ids=["field-count-in-a-later-block", "field-count-in-the-same-block"],
+    )
+    def test_the_first_faulty_block_reports_its_error(
+        self, monkeypatch, second_fault, message
+    ):
+        # within a block, every line's field count is checked before its fields
+        monkeypatch.setattr(data, "_BLOCK_LINES", 3)
+        lines = [make_line()] * 6
+        lines[1] = bad_field("oops")
+        lines[second_fault - 1] = ",".join(["0"] * 40)
+        with pytest.raises(ParseError) as info:
+            parse_records(lines)
+        assert str(info.value).startswith(message)
+
+    def test_peak_memory_is_bounded_by_the_result(self):
+        lines = synthetic_lines(data._BLOCK_LINES, seed=5) * 8
+        tracemalloc.start()
+        try:
+            ds = parse_records(lines)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(ds) == 8 * data._BLOCK_LINES
+        result = sum(c.nbytes for c in ds.codes) + ds.label_codes.nbytes + ds.weights.nbytes
+        # holding every line's fields at once peaks at over 5x the result
+        assert peak < 3 * result
+
+    def test_projected_read_equals_a_projection(self, tmp_path):
+        path = tmp_path / "records.csv"
+        path.write_text("\n".join(synthetic_lines(50, seed=3)) + "\n")
+        features = [23, 2, 5, 41, 2]
+        projected = read_dataset(path, features)
+        assert projected == read_dataset(path).project(features)
+        assert coding(projected) == coding(read_dataset(path).project(features))
+        assert projected.schema.names == tuple(NSLKDD_SCHEMA.name(i) for i in (2, 5, 23, 41))
+
+    @pytest.mark.parametrize("features", [[0], [3, 42], [-1]])
+    def test_feature_outside_the_schema_is_a_schema_error(self, features):
+        with pytest.raises(SchemaError, match="outside schema"):
+            parse_records([make_line()], features=features)
+
+    def test_dropped_features_are_still_checked(self):
+        with pytest.raises(ParseError, match="line 1: feature 5"):
+            parse_records([bad_field("oops")], features=[2])
+        with pytest.raises(ParseError, match="line 2: expected"):
+            parse_records([make_line(), ",".join(["0"] * 40)], features=[2])
 
 
 class TestMapLabels:

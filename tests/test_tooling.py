@@ -209,6 +209,27 @@ def test_a_run_encodes_each_column_once(monkeypatch, synth_file, tmp_path):
     assert len(calls) == len(data.NSLKDD_SCHEMA) + 1
 
 
+def test_train_and_eval_code_only_the_selected_columns(monkeypatch, synth_file, tmp_path):
+    binned, selection = tmp_path / "disc" / "discretized.csv", tmp_path / "s.json"
+    assert cli.main(["ingest", str(synth_file), "--out", str(tmp_path / "c.csv")]) == 0
+    assert cli.main(["discretize", str(tmp_path / "c.csv"), "--out", str(binned.parent)]) == 0
+    assert cli.main(["select", str(binned), "--out", str(selection)]) == 0
+    model = tmp_path / "m.json"
+    selected = len(data.read_json(selection, lambda p: p["indices"], "selection"))
+    assert 0 < selected < len(data.NSLKDD_SCHEMA)
+    calls = []
+    count_calls(monkeypatch, data, "encode", calls)
+    # the selected columns and the labels; eval's report also codes the
+    # truths and the predictions
+    for args, report in (
+        (["train", str(binned), "--selection", str(selection), "--out", str(model)], 0),
+        (["eval", str(binned), "--model", str(model), "--out", str(tmp_path / "r.json")], 2),
+    ):
+        calls.clear()
+        assert cli.main(args) == 0
+        assert len(calls) == selected + 1 + report
+
+
 def test_reproduce_tables_parses_once(monkeypatch, synth_file, tmp_path):
     # both granularities share one parse; each grid row starts at the label map
     calls = []
