@@ -12,6 +12,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 import click
 import numpy as np
@@ -302,5 +303,22 @@ def main(argv=None) -> int:
     return 0
 
 
+def entry_point() -> NoReturn:
+    """Run ``main``, flush stdout and stderr, and exit without the interpreter's
+    teardown (about 30 ms of garbage collection and freeing per process).
+
+    Every command has closed its artifacts when ``main`` returns. ``os._exit``
+    also skips ``atexit`` handlers, and idspipe registers none. A failed flush
+    is left to ``sys.exit``, so the interpreter reports it as before.
+    """
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry_point()

@@ -1,3 +1,5 @@
+import errno
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import idspipe
+from idspipe import cli
 from idspipe.cli import main
 from idspipe.config import PipelineConfig, SampleConfig
 from idspipe.data import parse_records, read_dataset, sample_indices
@@ -667,16 +670,31 @@ class TestRunExperimentApi:
         assert len(calls) == fits
 
 
-def fresh_python(code, **env):
-    """Stdout of ``code`` in a new interpreter with no OPENBLAS_NUM_THREADS but ``env``'s."""
+def fresh_env(**env):
+    """The environment of a new interpreter that imports this idspipe, with no
+    OPENBLAS_NUM_THREADS but ``env``'s."""
     environ = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     src = str(Path(idspipe.__file__).resolve().parent.parent)
     environ["PYTHONPATH"] = os.pathsep.join(filter(None, [src, environ.get("PYTHONPATH")]))
     environ.update(env)
+    return environ
+
+
+def fresh_python(code, **env):
+    """Stdout of ``code`` in a new interpreter (see ``fresh_env``)."""
     done = subprocess.run(
-        [sys.executable, "-c", code], env=environ, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], env=fresh_env(**env), capture_output=True, text=True,
+        check=True,
     )
     return done.stdout
+
+
+def idspipe_process(*args, cwd, stdout=subprocess.PIPE):
+    """``python -m idspipe.cli *args`` run in ``cwd``: the completed process."""
+    return subprocess.run(
+        [sys.executable, "-m", "idspipe.cli", *map(str, args)],
+        cwd=cwd, env=fresh_env(), stdout=stdout, stderr=subprocess.PIPE, text=True,
+    )
 
 
 class TestProcessStart:
@@ -691,3 +709,137 @@ class TestProcessStart:
     def test_process_has_one_thread_after_numpy_loads(self):
         code = "import idspipe, numpy, os; print(len(os.listdir('/proc/self/task')))"
         assert fresh_python(code) == "1\n"
+
+
+class TestProcessExit:
+    """A command process flushes its output and ends through ``os._exit``; what it
+    writes, prints and returns is what ``main`` in this process gives."""
+
+    @pytest.fixture()
+    def dirs(self, tmp_path):
+        made = [tmp_path / name for name in ("in-process", "piped", "to-file")]
+        for path in made:
+            path.mkdir()
+        return made
+
+    @pytest.mark.parametrize(
+        "args, code",
+        [
+            (["ingest", "{synth}", "--out", "x.csv"], 0),
+            (["run"], 1),
+            (["ingest", "missing.txt", "--out", "x.csv"], 2),
+        ],
+        ids=["ok", "usage", "data"],
+    )
+    def test_exit_status_and_error_line_match_main(
+        self, small_synth, dirs, monkeypatch, capsys, args, code
+    ):
+        args = [a.format(synth=small_synth) for a in args]
+        monkeypatch.chdir(dirs[0])
+        assert main(args) == code
+        err = capsys.readouterr().err
+        done = idspipe_process(*args, cwd=dirs[1])
+        assert done.returncode == code
+        assert done.stderr.splitlines()[-1:] == err.splitlines()[-1:]
+
+    def test_report_and_artifacts_match_main_through_pipe_and_file(
+        self, small_synth, dirs, monkeypatch, capsys
+    ):
+        args = ["run", "--input", small_synth, "--sample", "none", "--no-boost", "--k", "3",
+                "--out", "o"]
+        monkeypatch.chdir(dirs[0])
+        assert run_cli(*args) == 0
+        out = capsys.readouterr().out
+        assert "artifacts in o" in out
+        piped = idspipe_process(*args, cwd=dirs[1])
+        with open(dirs[2] / "stdout.txt", "w") as fh:
+            assert idspipe_process(*args, cwd=dirs[2], stdout=fh).returncode == 0
+        assert (piped.returncode, piped.stdout) == (0, out)
+        assert (dirs[2] / "stdout.txt").read_text() == out
+        names = sorted(p.name for p in (dirs[0] / "o").iterdir())
+        assert len(names) >= 7
+        for d in dirs[1:]:
+            assert sorted(p.name for p in (d / "o").iterdir()) == names
+            for name in names:
+                assert (d / "o" / name).read_bytes() == (dirs[0] / "o" / name).read_bytes()
+
+    def test_help_arrives_through_pipe_and_file(self, dirs, capsys):
+        assert main(["--help"]) == 0
+        # the usage line names the program, which differs in this process
+        lines = capsys.readouterr().out.splitlines(keepends=True)
+        piped = idspipe_process("--help", cwd=dirs[1])
+        with open(dirs[2] / "stdout.txt", "w") as fh:
+            assert idspipe_process("--help", cwd=dirs[2], stdout=fh).returncode == 0
+        assert piped.returncode == 0
+        assert (dirs[2] / "stdout.txt").read_text() == piped.stdout
+        assert piped.stdout.splitlines(keepends=True)[1:] == lines[1:]
+
+    def test_help_into_a_closed_pipe_exits_1_silently(self, tmp_path):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = idspipe_process("--help", cwd=tmp_path, stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (1, "")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("command", ["help", "eval"])
+    def test_stdout_on_a_full_device_is_a_data_error(self, small_synth, tmp_path, command):
+        args = ["--help"]
+        if command == "eval":
+            assert run_cli("ingest", small_synth, "--out", tmp_path / "x.csv") == 0
+            assert run_cli("discretize", tmp_path / "x.csv", "--out", tmp_path / "d") == 0
+            binned = tmp_path / "d" / "discretized.csv"
+            assert run_cli("select", binned, "--out", tmp_path / "s.json") == 0
+            assert run_cli(
+                "train", binned, "--selection", tmp_path / "s.json", "--no-boost",
+                "--out", tmp_path / "m.json",
+            ) == 0
+            args = ["eval", binned, "--model", tmp_path / "m.json", "--out", tmp_path / "r.json"]
+        with open("/dev/full", "w") as full:
+            done = idspipe_process(*args, cwd=tmp_path, stdout=full)
+        assert done.returncode == 2
+        [line] = done.stderr.splitlines()
+        assert line.startswith("error: ") and line.endswith("No space left on device")
+
+    @pytest.mark.parametrize("flush_fails", [False, True])
+    def test_entry_point_flushes_then_exits_with_mains_code(self, monkeypatch, flush_fails):
+        events = []
+
+        class Stream(io.StringIO):
+            def flush(self):
+                events.append("flush")
+                if flush_fails:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+
+        class FastExit(Exception):
+            pass
+
+        def fast_exit(code):
+            events.append(("os._exit", code))
+            raise FastExit
+
+        monkeypatch.setattr(cli, "main", lambda: 2)
+        monkeypatch.setattr(sys, "stdout", Stream())
+        monkeypatch.setattr(cli.os, "_exit", fast_exit)
+        # a failed flush leaves the exit to the interpreter, which reports it
+        with pytest.raises(SystemExit if flush_fails else FastExit) as exc:
+            cli.entry_point()
+        if flush_fails:
+            assert (exc.value.code, events) == (2, ["flush"])
+        else:
+            assert events == ["flush", ("os._exit", 2)]
+
+    def test_a_command_registers_no_atexit_handler(self, small_synth, tmp_path):
+        # os._exit skips atexit handlers; one registered later (logging.shutdown,
+        # for instance) must be run by the entry point before it exits
+        code = f"""
+import atexit
+before = atexit._ncallbacks()
+from idspipe import cli
+code = cli.main(["run", "--input", {str(small_synth)!r}, "--sample", "none",
+                 "--no-boost", "--k", "3", "--out", {str(tmp_path / "o")!r}])
+print(code, atexit._ncallbacks() - before)
+"""
+        assert fresh_python(code).splitlines()[-1] == "0 0"

@@ -335,3 +335,19 @@ def test_package_exports_resolve():
     ]
     assert len(exported) > 30
     assert [name for name in exported if not hasattr(idspipe, name)] == []
+
+
+def test_installed_command_exits_as_python_m_does():
+    # the setuptools wrapper calls the script's function; naming main there
+    # would bring back the interpreter teardown that the entry point skips
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((PERFBENCH.parent / "pyproject.toml").read_text())["project"]
+    [guard] = [
+        node for node in ast.parse((PACKAGE / "cli.py").read_text()).body
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+    ]
+    [statement] = guard.body
+    assert isinstance(statement.value, ast.Call)
+    called = ast.unparse(statement.value.func)
+    assert project["scripts"] == {"idspipe": f"idspipe.cli:{called}"}
+    assert callable(getattr(cli, called))
