@@ -51,7 +51,6 @@ from .evaluate import (
     ConfusionMatrix,
     EvaluationReport,
     aggregate,
-    confusion,
     cross_validate,
     per_class_metrics,
 )

@@ -17,7 +17,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .config import ClassifierConfig
-from .data import Dataset, check_discrete, vocab_lookup
+from .data import Dataset, check_discrete
 from .errors import DataError, SchemaError
 
 DEFAULT_SMOOTHING = 1.0
@@ -173,7 +173,7 @@ class _TrainingSet:
 
     @classmethod
     def of(cls, ds: Dataset, labels: tuple[str, ...]) -> "_TrainingSet":
-        y = _class_codes(ds, labels)
+        y = ds.label_positions(labels)
         feature_values, rows = [], []
         for f, (codes, vocab) in enumerate(zip(ds.codes, ds.vocabs)):
             # a vocabulary may hold values no record of this dataset takes
@@ -203,15 +203,6 @@ def train_naive_bayes(
         raise ValueError("cannot train on zero total weight")
     labels = tuple(label_set) if label_set is not None else ds.label_set()
     return _fit_naive_bayes(_TrainingSet.of(ds, labels), w, smoothing)
-
-
-def _class_codes(ds: Dataset, labels: tuple[str, ...]) -> np.ndarray:
-    """Position of every record's label in the declared class order."""
-    y = vocab_lookup(ds.label_vocab, labels)[ds.label_codes]
-    if (y < 0).any():
-        missing = ds.label_vocab[ds.label_codes[int(np.argmax(y < 0))]]
-        raise ValueError(f"label {missing!r} not in the declared label set")
-    return y
 
 
 def _fit_naive_bayes(ts: _TrainingSet, w: np.ndarray, smoothing: float) -> NaiveBayesModel:

@@ -15,7 +15,6 @@ from pathlib import Path
 from typing import NoReturn
 
 import click
-import numpy as np
 
 from . import classify, data, discretize, pipeline, select
 from .config import (
@@ -152,11 +151,10 @@ def eval_cmd(dataset_path, model_path, out):
     kind, model, features = data.read_json(model_path, load_model_payload, "model file")
     ds = data.read_dataset(_resolve_input(dataset_path), features)
     codes = classify.ensemble_predict_batch(model, ds)
-    preds = np.asarray(model.labels, dtype=object)[codes]
     label_set = sorted(set(model.labels) | set(ds.label_set()))
     report = build_report(
-        ds.labels,
-        preds,
+        ds.label_positions(label_set),
+        data.vocab_lookup(model.labels, label_set)[codes],
         label_set,
         descriptor={"mode": "holdout", "model": kind, "features": list(features)},
     )
@@ -235,8 +233,8 @@ def run_cmd(config_path, **kw):
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
     config = dataclasses.replace(config, input_path=_resolve_input(config.input_path))
-    result = run_experiment(config)
-    click.echo(result.report.format_table())
+    report = run_experiment(config)
+    click.echo(report.format_table())
     click.echo(f"artifacts in {config.output_dir}")
 
 
@@ -280,9 +278,6 @@ def main(argv=None) -> int:
     """Entry point with the documented exit-code mapping."""
     try:
         cli.main(args=argv, standalone_mode=False)
-    except click.UsageError as exc:
-        exc.show()
-        return 1
     except click.ClickException as exc:
         exc.show()
         return 1
@@ -291,10 +286,7 @@ def main(argv=None) -> int:
     except StageError as exc:
         click.echo(f"error: {exc}", err=True)
         return exc.exit_code
-    except DataError as exc:
-        click.echo(f"error: {exc}", err=True)
-        return 2
-    except OSError as exc:
+    except (DataError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         return 2
     except Exception as exc:  # internal invariant violations

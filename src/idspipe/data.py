@@ -352,6 +352,14 @@ class Dataset:
         """The labels records take, sorted."""
         return tuple(compress(self.label_vocab, self._label_counts()))
 
+    def label_positions(self, labels) -> np.ndarray:
+        """Position in ``labels`` of every record's label; ValueError outside it."""
+        positions = vocab_lookup(self.label_vocab, labels)[self.label_codes]
+        if (positions < 0).any():
+            missing = self.label_vocab[self.label_codes[int(np.argmax(positions < 0))]]
+            raise ValueError(f"label {missing!r} not in the declared label set")
+        return positions
+
     def class_counts(self) -> dict[str, int]:
         return {
             str(v): int(c) for v, c in zip(self.label_vocab, self._label_counts()) if c

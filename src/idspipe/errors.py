@@ -8,8 +8,6 @@ OS-level file problems) exit 2, anything else exits 3 as an internal fault.
 class DataError(Exception):
     """Invalid or inconsistent input data."""
 
-    exit_code = 2
-
 
 class ParseError(DataError):
     """Malformed record file; message carries the 1-based line number."""

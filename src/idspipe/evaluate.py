@@ -18,8 +18,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from . import classify, discretize, select
-from .data import Dataset, FoldPlan, encode, json_text, stratified_folds, vocab_lookup
-from .errors import UnknownLabelError
+from .data import Dataset, FoldPlan, json_text, stratified_folds
 
 
 @dataclass(eq=False)
@@ -55,27 +54,6 @@ class ConfusionMatrix:
         c = len(labels)
         counts = np.bincount(truths * c + preds, minlength=c * c).reshape(c, c)
         return cls(labels=labels, counts=counts)
-
-
-def _label_codes(codes, vocab, labels: tuple[str, ...]) -> np.ndarray:
-    """Position in ``labels`` of every coded value ``vocab[codes]``."""
-    positions = vocab_lookup(vocab, labels)[codes]
-    if (positions < 0).any():
-        missing = vocab[codes[int(np.argmax(positions < 0))]]
-        raise UnknownLabelError(f"label {missing!r} not in label set")
-    return positions
-
-
-def confusion(truths, preds, label_set: Sequence[str]) -> ConfusionMatrix:
-    """Count (truth, prediction) pairs over a fixed label order."""
-    labels = tuple(label_set)
-    truths = list(truths)
-    preds = list(preds)
-    if len(truths) != len(preds):
-        raise ValueError("truths and predictions differ in length")
-    return ConfusionMatrix.from_codes(
-        _label_codes(*encode(truths), labels), _label_codes(*encode(preds), labels), labels
-    )
 
 
 @dataclass(frozen=True)
@@ -169,21 +147,15 @@ class EvaluationReport:
     def to_json(self) -> str:
         return json_text(self.to_payload())
 
-    @classmethod
-    def from_matrix(cls, matrix: ConfusionMatrix, descriptor: dict) -> "EvaluationReport":
-        per_class = per_class_metrics(matrix)
-        return cls(
-            matrix=matrix,
-            per_class=per_class,
-            weighted=aggregate(per_class),
-            descriptor=descriptor,
-        )
-
     def format_table(self) -> str:
         """Human-readable per-class and weighted metric table."""
         lines = []
         desc = self.descriptor
-        if desc:
+        if desc.get("mode") == "holdout":
+            lines.append(
+                f"mode=holdout model={desc['model']} features={len(desc['features'])}"
+            )
+        elif desc:
             sel = desc.get("selection", {})
             lines.append(
                 "method={} features={} classifier={} k={} seed={}".format(
@@ -211,10 +183,17 @@ class EvaluationReport:
         return "\n".join(lines) + "\n"
 
 
-def build_report(
-    truths, preds, label_set: Sequence[str], descriptor: dict
-) -> EvaluationReport:
-    return EvaluationReport.from_matrix(confusion(truths, preds, label_set), descriptor)
+def build_report(truths, preds, labels: Sequence[str], descriptor: dict) -> EvaluationReport:
+    """The report of ``preds`` against ``truths``, both class positions in ``labels``.
+
+    The one constructor of an :class:`EvaluationReport`, for CV and ``eval``.
+    """
+    truths, preds = np.asarray(truths, dtype=np.int64), np.asarray(preds, dtype=np.int64)
+    if truths.shape != preds.shape:
+        raise ValueError("truths and predictions differ in length")
+    matrix = ConfusionMatrix.from_codes(truths, preds, tuple(labels))
+    per_class = per_class_metrics(matrix)
+    return EvaluationReport(matrix, per_class, aggregate(per_class), descriptor)
 
 
 class Preprocessing(NamedTuple):
@@ -460,6 +439,4 @@ def cross_validate_plan(
         },
         "cv": {"k": plan.k, "seed": seed},
     }
-    truths = _label_codes(ds.label_codes, ds.label_vocab, label_set)
-    matrix = ConfusionMatrix.from_codes(truths, preds, label_set)
-    return EvaluationReport.from_matrix(matrix, descriptor)
+    return build_report(ds.label_positions(label_set), preds, label_set, descriptor)

@@ -9,8 +9,8 @@ produce byte-identical files.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from pathlib import Path
+from typing import Mapping
 
 from . import classify
 from .config import (
@@ -37,12 +37,6 @@ from .data import (
 )
 from .errors import DataError, StageError
 from .evaluate import EvaluationReport, cross_validate_plan, fit_preprocessing
-
-
-@dataclass
-class RunResult:
-    report: EvaluationReport
-    artifacts: dict[str, Path]
 
 
 def _stage(name: str):
@@ -97,6 +91,17 @@ def _sample(sample: SampleConfig | None, ds: Dataset):
         "selected_indices": idx.tolist(),
     }
     return ds.subset(idx), manifest
+
+
+@_stage("write")
+def _write(out: Path, texts: Mapping[str, str]) -> dict[str, Path]:
+    """Make the directory ``out`` and write each text to ``out / name``."""
+    out.mkdir(parents=True, exist_ok=True)
+    written = {}
+    for name, text in texts.items():
+        written[name] = out / name
+        written[name].write_text(text)
+    return written
 
 
 @_stage("label-map")
@@ -167,14 +172,14 @@ def load_model_payload(payload: dict):
         raise DataError(f"malformed model.json: {exc}") from exc
 
 
-def run_experiment(config: PipelineConfig) -> RunResult:
+def run_experiment(config: PipelineConfig) -> EvaluationReport:
     """Execute ingest -> sample -> label-map -> CV evaluation -> artifacts."""
     ds, manifest = _sample(config.sample, _ingest(config.input_path))
     ds = _map(config, ds)
     return _experiment(config, ds, manifest)
 
 
-def _experiment(config: PipelineConfig, ds: Dataset, manifest) -> RunResult:
+def _experiment(config: PipelineConfig, ds: Dataset, manifest) -> EvaluationReport:
     """CV evaluation -> artifacts, on the ingested, sampled, label-mapped ``ds``."""
     try:
         plan = stratified_folds(ds, config.cv.k, config.cv.seed)
@@ -188,28 +193,21 @@ def _experiment(config: PipelineConfig, ds: Dataset, manifest) -> RunResult:
 
     dmodel, selection, model = _deployment_artifacts(config, ds, fitted)
 
-    out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    artifacts: dict[str, Path] = {}
-
-    def emit(name: str, text: str) -> None:
-        path = out / name
-        path.write_text(text)
-        artifacts[name] = path
-
-    emit("config.json", config.to_json())
-    emit("foldplan.json", json_line(plan.to_payload()))
+    artifacts = {
+        "config.json": config.to_json(),
+        "foldplan.json": json_line(plan.to_payload()),
+        "discretizer.json": dmodel.to_json(),
+        "selection.json": selection.to_json(),
+        "model.json": model_json(
+            config.experiment.classifier.kind, model, selection.subset.indices
+        ),
+        "report.json": report.to_json(),
+        "report.txt": report.format_table(),
+    }
     if manifest is not None:
-        emit("sample_manifest.json", json_line(manifest))
-    emit("discretizer.json", dmodel.to_json())
-    emit("selection.json", selection.to_json())
-    emit(
-        "model.json",
-        model_json(config.experiment.classifier.kind, model, selection.subset.indices),
-    )
-    emit("report.json", report.to_json())
-    emit("report.txt", report.format_table())
-    return RunResult(report=report, artifacts=artifacts)
+        artifacts["sample_manifest.json"] = json_line(manifest)
+    _write(Path(config.output_dir), artifacts)
+    return report
 
 
 # Method grid mirrored by the reproduce-tables command: (method, alpha, boost).
@@ -240,8 +238,8 @@ def reproduce_tables(
     without boosting (23-class only).
     """
     out = Path(output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written: dict[str, Path] = {}
+    _write(out, {})  # an unusable output directory fails before any work
+    tables: dict[str, str] = {}
     hybrid_reports: dict[bool, EvaluationReport] = {}
     # map_labels only renames labels, so both granularities share one sample
     sample_config = SampleConfig(seed=seed) if sample else None
@@ -268,7 +266,7 @@ def reproduce_tables(
                 cv=CrossValConfig(k=k, seed=seed),
                 output_dir=str(out / f"{tag}-{method}{'-boost' if boost else ''}"),
             )
-            report = _experiment(config, _map(config, ds), manifest).report
+            report = _experiment(config, _map(config, ds), manifest)
             if granularity == ATTACK23 and method == "hybrid":
                 hybrid_reports[boost] = report
             sel = report.descriptor["selection"]
@@ -283,24 +281,18 @@ def reproduce_tables(
                 }
             )
         payload = {"granularity": granularity, "seed": seed, "rows": rows}
-        json_path = out / f"selector_comparison_{tag}.json"
-        json_path.write_text(json_text(payload))
-        written[json_path.name] = json_path
-        txt_path = out / f"selector_comparison_{tag}.txt"
-        txt_path.write_text(_format_grid(granularity, rows))
-        written[txt_path.name] = txt_path
+        tables[f"selector_comparison_{tag}.json"] = json_text(payload)
+        tables[f"selector_comparison_{tag}.txt"] = _format_grid(granularity, rows)
 
-    cmp_path = out / "per_attack_f.txt"
-    cmp_path.write_text(_format_attack_comparison(hybrid_reports[False], hybrid_reports[True]))
-    written[cmp_path.name] = cmp_path
-    cmp_json = out / "per_attack_f.json"
+    tables["per_attack_f.txt"] = _format_attack_comparison(
+        hybrid_reports[False], hybrid_reports[True]
+    )
     per_attack = {
         name: {lbl: m.f_measure for lbl, m in sorted(hybrid_reports[boost].per_class.items())}
         for name, boost in (("unboosted", False), ("boosted", True))
     }
-    cmp_json.write_text(json_text(per_attack))
-    written[cmp_json.name] = cmp_json
-    return written
+    tables["per_attack_f.json"] = json_text(per_attack)
+    return _write(out, tables)
 
 
 def _format_grid(granularity: str, rows) -> str:

@@ -76,7 +76,7 @@ class TestExitCodes:
 
 
 class TestStageCommands:
-    def test_full_stage_chain(self, small_synth, tmp_path):
+    def test_full_stage_chain(self, small_synth, tmp_path, capsys):
         ds_csv = tmp_path / "clean.csv"
         assert run_cli("ingest", small_synth, "--out", ds_csv) == 0
         assert ds_csv.exists()
@@ -108,11 +108,14 @@ class TestStageCommands:
         assert payload["features"] == selection["indices"]
 
         report_path = tmp_path / "report.json"
+        capsys.readouterr()
         assert run_cli(
             "eval", binned, "--model", model_path, "--out", report_path
         ) == 0
         report = json.loads(report_path.read_text())
         assert report["matrix"]["counts"]
+        header = capsys.readouterr().out.splitlines()[0]
+        assert header == f"mode=holdout model=nb features={len(selection['indices'])}"
 
         # plain NB is stored as a one-round ensemble with vote 1; a bare NB
         # payload written before that still evaluates to the same report
@@ -169,8 +172,14 @@ class TestStageFailures:
             (["select", "{raw}", "--out", "{tmp}/s.json"], "select"),
             (["train", "{raw}", "--out", "{tmp}/m.json"], "train"),
             (["eval", "{raw}", "--model", "{bad}", "--out", "{tmp}/r.json"], "eval"),
+            (["run", "--input", "{synth}", "--sample", "none", "--no-boost", "--k", "3",
+              "--out", "{bad}/o"], "write"),
+            (["reproduce-tables", "{synth}", "--out", "{bad}/t"], "write"),
         ],
-        ids=["ingest", "ingest-sample", "discretize", "select", "train", "eval"],
+        ids=[
+            "ingest", "ingest-sample", "discretize", "select", "train", "eval",
+            "run-write", "reproduce-tables-write",
+        ],
     )
     def test_data_error_names_its_stage(
         self, small_synth, raw_csv, tmp_path, capsys, args, stage
@@ -636,8 +645,8 @@ class TestRunExperimentApi:
             cv=CrossValConfig(k=5, seed=2),
             output_dir=str(tmp_path / "api"),
         )
-        result = run_experiment(config)
-        assert result.report.matrix.total == 50
+        report = run_experiment(config)
+        assert report.matrix.total == 50
         manifest = json.loads(
             (tmp_path / "api" / "sample_manifest.json").read_text()
         )

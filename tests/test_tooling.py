@@ -113,6 +113,27 @@ def test_benchmark_spans_are_reached(monkeypatch):
     assert selection_calls.count("CorrelationCache") == plan.k
 
 
+def test_cv_and_eval_build_one_report_each(monkeypatch, tmp_path):
+    # evaluate.report.s is read through evaluate.build_report, which both
+    # cross-validation and the eval command call
+    calls = []
+    count_calls(monkeypatch, evaluate, "build_report", calls)
+    ds = four_column_dataset()
+    plan = stratified_folds(ds, 3, seed=0)
+    evaluate.cross_validate_plan(ds, ExperimentConfig(), plan, seed=0)
+    assert calls == ["build_report"]
+
+    binned = discretize.apply_discretizer(discretize.fit_discretizer(ds), ds)
+    data.write_dataset(binned, tmp_path / "d.csv")
+    model = classify.train_classifier(binned, ClassifierConfig(boost=False))
+    features = range(1, len(binned.schema) + 1)
+    (tmp_path / "m.json").write_text(pipeline.model_json("nb", model, features))
+    calls.clear()
+    args = ["eval", tmp_path / "d.csv", "--model", tmp_path / "m.json", "--out", tmp_path / "r"]
+    assert cli.main([str(a) for a in args]) == 0
+    assert calls == ["build_report"]
+
+
 @pytest.mark.parametrize("cpus, k", [(1, 4), (2, 4), (3, 4), (4, 3), (2, 2)])
 def test_cv_forks_one_worker_per_usable_cpu(monkeypatch, cpus, k):
     # min(k, cpus) workers: this process and min(k, cpus) - 1 forked children
@@ -204,8 +225,8 @@ def test_a_run_encodes_each_column_once(monkeypatch, synth_file, tmp_path):
         output_dir=str(tmp_path / "run"),
     )
     assert config.granularity == data.ATTACK23
-    result = pipeline.run_experiment(config)
-    assert result.report.matrix.total == 600
+    report = pipeline.run_experiment(config)
+    assert report.matrix.total == 600
     assert len(calls) == len(data.NSLKDD_SCHEMA) + 1
 
 
@@ -219,15 +240,15 @@ def test_train_and_eval_code_only_the_selected_columns(monkeypatch, synth_file, 
     assert 0 < selected < len(data.NSLKDD_SCHEMA)
     calls = []
     count_calls(monkeypatch, data, "encode", calls)
-    # the selected columns and the labels; eval's report also codes the
-    # truths and the predictions
-    for args, report in (
-        (["train", str(binned), "--selection", str(selection), "--out", str(model)], 0),
-        (["eval", str(binned), "--model", str(model), "--out", str(tmp_path / "r.json")], 2),
+    # the selected columns and the labels; eval's report counts class
+    # positions, so it codes nothing more
+    for args in (
+        ["train", str(binned), "--selection", str(selection), "--out", str(model)],
+        ["eval", str(binned), "--model", str(model), "--out", str(tmp_path / "r.json")],
     ):
         calls.clear()
         assert cli.main(args) == 0
-        assert len(calls) == selected + 1 + report
+        assert len(calls) == selected + 1
 
 
 def test_reproduce_tables_parses_once(monkeypatch, synth_file, tmp_path):
@@ -262,6 +283,29 @@ def test_only_data_writes_json():
             ):
                 calls.append(f"{path.name}:{node.lineno}")
     assert calls == []
+
+
+def test_only_build_report_constructs_a_report():
+    # CV and eval share evaluate.build_report; a second constructor would
+    # bypass it and the evaluate.report.s span read through it
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = set()
+        if path.name == "evaluate.py":
+            [builder] = [
+                node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "build_report"
+            ]
+            allowed = {id(node) for node in ast.walk(builder)}
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call)
+                and ast.unparse(node.func).split(".")[-1] == "EvaluationReport"
+            ):
+                where = "build_report" if id(node) in allowed else f"{path.name}:{node.lineno}"
+                found.append(where)
+    assert found == ["build_report"]
 
 
 def used_names(tree: ast.Module) -> set[str]:
