@@ -172,7 +172,16 @@ class _TrainingSet:
     rows: tuple[np.ndarray, ...]
 
     @classmethod
-    def of(cls, ds: Dataset, labels: tuple[str, ...]) -> "_TrainingSet":
+    def of(
+        cls, ds: Dataset, smoothing: float, label_set: Sequence[str] | None
+    ) -> "_TrainingSet":
+        """Every fit's checked training set; ``label_set`` as in train_naive_bayes."""
+        check_discrete(ds, "classifier")
+        if not 0 < smoothing < math.inf:
+            raise ValueError("smoothing constant must be finite and positive")
+        if len(ds) == 0:
+            raise ValueError("cannot train on an empty dataset")
+        labels = tuple(label_set) if label_set is not None else ds.label_set()
         y = ds.label_positions(labels)
         feature_values, rows = [], []
         for f, (codes, vocab) in enumerate(zip(ds.codes, ds.vocabs)):
@@ -189,20 +198,14 @@ def train_naive_bayes(
     smoothing: float = DEFAULT_SMOOTHING,
     label_set: Sequence[str] | None = None,
 ) -> NaiveBayesModel:
-    """Fit smoothed priors and per-feature conditionals from weighted records.
+    """Fit smoothed priors and per-feature conditionals, every record weighing 1.
 
     ``label_set`` fixes the declared class order (defaults to the sorted
     labels observed in ``ds``); classes without training mass keep smoothed
     statistics only.
     """
-    check_discrete(ds, "classifier")
-    if smoothing <= 0:
-        raise ValueError("smoothing constant must be positive")
-    w = np.asarray(ds.weights, dtype=float)
-    if len(ds) == 0 or w.sum() <= 0:
-        raise ValueError("cannot train on zero total weight")
-    labels = tuple(label_set) if label_set is not None else ds.label_set()
-    return _fit_naive_bayes(_TrainingSet.of(ds, labels), w, smoothing)
+    ts = _TrainingSet.of(ds, smoothing, label_set)
+    return _fit_naive_bayes(ts, np.ones(len(ds)), smoothing)
 
 
 def _fit_naive_bayes(ts: _TrainingSet, w: np.ndarray, smoothing: float) -> NaiveBayesModel:
@@ -323,16 +326,10 @@ def boost_rounds(
     misclassified records are upweighted by (1-e)/e and the distribution is
     renormalized.
     """
-    check_discrete(ds, "classifier")
     if rounds < 1:
         raise ValueError("boosting needs at least one round")
-    if smoothing <= 0:
-        raise ValueError("smoothing constant must be positive")
+    ts = _TrainingSet.of(ds, smoothing, label_set)
     n = len(ds)
-    if n == 0:
-        raise ValueError("cannot boost an empty dataset")
-    labels = tuple(label_set) if label_set is not None else ds.label_set()
-    ts = _TrainingSet.of(ds, labels)
     weights = np.full(n, 1.0 / n)
     for t in range(rounds):
         model = _fit_naive_bayes(ts, weights, smoothing)
@@ -361,14 +358,13 @@ def train_adaboost_m1(
     label_set: Sequence[str] | None = None,
 ) -> EnsembleModel:
     """Train an AdaBoost.M1 ensemble of naive Bayes models."""
-    labels = tuple(label_set) if label_set is not None else ds.label_set()
-    kept: list[tuple[NaiveBayesModel, float]] = []
-    for info in boost_rounds(ds, rounds=rounds, smoothing=smoothing, label_set=labels):
-        if info.kept:
-            kept.append((info.model, info.vote_weight))
-    if not kept:
-        raise RuntimeError("boosting produced no usable round")
-    return EnsembleModel(labels=labels, rounds=tuple(kept))
+    # boost_rounds always keeps its first round
+    kept = [
+        (info.model, info.vote_weight)
+        for info in boost_rounds(ds, rounds=rounds, smoothing=smoothing, label_set=label_set)
+        if info.kept
+    ]
+    return EnsembleModel(labels=kept[0][0].labels, rounds=tuple(kept))
 
 
 def train_classifier(

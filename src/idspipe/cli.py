@@ -100,7 +100,9 @@ def discretize_cmd(dataset_path, out):
     default="hybrid",
     show_default=True,
 )
-@click.option("--alpha", type=float, default=DEFAULT_HYBRID_ALPHA, show_default=True)
+@click.option(
+    "--alpha", type=click.FloatRange(0, 1), default=DEFAULT_HYBRID_ALPHA, show_default=True
+)
 @click.option("--out", required=True, help="Output selection JSON path.")
 @pipeline._stage("select")
 def select_cmd(dataset_path, method, alpha, out):
@@ -119,8 +121,10 @@ def select_cmd(dataset_path, method, alpha, out):
 @click.argument("dataset_path")
 @click.option("--selection", "selection_path", default=None, help="Selection JSON.")
 @click.option("--boost/--no-boost", default=True, show_default=True)
-@click.option("--rounds", type=int, default=10, show_default=True)
-@click.option("--smoothing", type=float, default=1.0, show_default=True)
+@click.option("--rounds", type=click.IntRange(min=1), default=10, show_default=True)
+@click.option(
+    "--smoothing", type=click.FloatRange(min=0, min_open=True), default=1.0, show_default=True
+)
 @click.option("--out", required=True, help="Output model JSON path.")
 @pipeline._stage("train")
 def train_cmd(dataset_path, selection_path, boost, rounds, smoothing, out):

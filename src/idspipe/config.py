@@ -7,6 +7,7 @@ CLI flag overrides exactly one key. See README for the documented schema.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 from typing import Mapping
 
@@ -46,8 +47,8 @@ class ClassifierConfig:
     def __post_init__(self):
         if self.rounds < 1:
             raise ValueError("classifier.rounds must be at least 1")
-        if self.smoothing <= 0:
-            raise ValueError("classifier.smoothing must be positive")
+        if not 0 < self.smoothing < math.inf:
+            raise ValueError("classifier.smoothing must be finite and positive")
 
     @property
     def kind(self) -> str:

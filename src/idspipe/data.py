@@ -254,7 +254,6 @@ class Dataset:
     vocabs: tuple[tuple, ...]
     label_codes: np.ndarray
     label_vocab: tuple[str, ...]
-    weights: np.ndarray
     granularity: str = ATTACK23
 
     def __post_init__(self):
@@ -272,10 +271,6 @@ class Dataset:
                 np.asarray(vocab, dtype=float)
             ).all():
                 raise SchemaError(f"feature {idx} has non-finite continuous values")
-        if len(self.weights) != n:
-            raise SchemaError("weights length does not match records")
-        if len(self.weights) and (np.asarray(self.weights) < 0).any():
-            raise ValueError("record weights must be non-negative")
         if self.granularity == CATEGORY5:
             bad = sorted(set(self.label_vocab) - {NORMAL, *CATEGORIES})
             if bad:
@@ -283,7 +278,7 @@ class Dataset:
 
     @classmethod
     def from_columns(
-        cls, schema: FeatureSchema, columns, labels, weights, granularity: str = ATTACK23
+        cls, schema: FeatureSchema, columns, labels, granularity: str = ATTACK23
     ) -> "Dataset":
         """Encode raw columns (in schema order) and labels once each.
 
@@ -303,7 +298,6 @@ class Dataset:
             tuple(v for _, v in coded),
             label_codes,
             label_vocab,
-            np.asarray(weights, dtype=float),
             granularity,
         )
 
@@ -318,7 +312,6 @@ class Dataset:
             and self.granularity == other.granularity
             and len(self) == len(other)
             and np.array_equal(self.labels, other.labels)
-            and np.allclose(self.weights, other.weights)
             and all(
                 np.array_equal(self.column(i), other.column(i))
                 for i in range(1, len(self.schema) + 1)
@@ -370,7 +363,6 @@ class Dataset:
         return self._derive(
             codes=tuple(c[idx] for c in self.codes),
             label_codes=self.label_codes[idx],
-            weights=self.weights[idx],
         )
 
     def project(self, feature_indices: Iterable[int]) -> "Dataset":
@@ -514,7 +506,6 @@ def parse_records(
         tuple(v for _, v in coded),
         label_codes,
         label_vocab,
-        np.ones(len(label_codes)),
     )
 
 
@@ -604,9 +595,7 @@ def map_labels(ds: Dataset, target: str = CATEGORY5) -> Dataset:
     vocab = tuple(sorted(set(category.values())))
     # labels no record takes have no category, and no code points at them
     category_of = vocab_lookup([category.get(lbl) for lbl in ds.label_vocab], vocab)
-    return Dataset(
-        ds.schema, ds.codes, ds.vocabs, category_of[ds.label_codes], vocab, ds.weights, CATEGORY5
-    )
+    return Dataset(ds.schema, ds.codes, ds.vocabs, category_of[ds.label_codes], vocab, CATEGORY5)
 
 
 @dataclass(frozen=True)

@@ -356,15 +356,11 @@ def greedy_forward_search(ds: Dataset, cache: CorrelationCache | None = None) ->
     return FeatureSubset(indices=indices, merit=merit)
 
 
-def best_first_search(
-    ds: Dataset,
-    cache: CorrelationCache | None = None,
-    stale_limit: int = BEST_FIRST_STALE_LIMIT,
-) -> FeatureSubset:
+def best_first_search(ds: Dataset, cache: CorrelationCache | None = None) -> FeatureSubset:
     """Best-first search over subsets keyed by CFS merit.
 
     Expands the open subset with the highest merit, adding one feature at a
-    time, and stops after ``stale_limit`` consecutive non-improving
+    time, and stops after ``BEST_FIRST_STALE_LIMIT`` consecutive non-improving
     expansions (or when the open list is exhausted).
     """
     check_discrete(ds, "selection")
@@ -382,7 +378,7 @@ def best_first_search(
             stale = 0
         else:
             stale += 1
-            if stale >= stale_limit:
+            if stale >= BEST_FIRST_STALE_LIMIT:
                 break
         members = set(subset)
         candidates, children = [], []

@@ -63,14 +63,11 @@ def _rate(rng, mean):
     return round(float(np.clip(rng.normal(mean, 0.15), 0.0, 1.0)), 2)
 
 
-def synthetic_lines(
-    n: int, seed: int = 0, difficulty: bool = True, mix: dict | None = None
-) -> list[str]:
+def synthetic_lines(n: int, seed: int = 0, difficulty: bool = True) -> list[str]:
     """Generate ``n`` records in NSL-KDD file format, deterministically."""
     rng = np.random.default_rng(seed)
-    mix = mix or DEFAULT_MIX
-    labels = list(mix)
-    probs = np.asarray([mix[lbl] for lbl in labels], dtype=float)
+    labels = list(DEFAULT_MIX)
+    probs = np.asarray([DEFAULT_MIX[lbl] for lbl in labels], dtype=float)
     probs = probs / probs.sum()
     lines = []
     for _ in range(n):

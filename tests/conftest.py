@@ -13,7 +13,7 @@ def columns_of(ds):
     return [ds.column(i) for i in range(1, len(ds.schema) + 1)]
 
 
-def toy_dataset(columns, labels, kinds=None, weights=None, granularity=ATTACK23):
+def toy_dataset(columns, labels, kinds=None, granularity=ATTACK23):
     """Build a small dataset from plain lists; discrete columns by default."""
     ncols = len(columns)
     if kinds is None:
@@ -25,14 +25,7 @@ def toy_dataset(columns, labels, kinds=None, weights=None, granularity=ATTACK23)
         np.asarray(col, dtype=float if kinds[i] == CONTINUOUS else object)
         for i, col in enumerate(columns)
     )
-    n = len(labels)
-    return Dataset.from_columns(
-        schema,
-        arrays,
-        np.asarray(labels, dtype=object),
-        np.ones(n) if weights is None else weights,
-        granularity,
-    )
+    return Dataset.from_columns(schema, arrays, np.asarray(labels, dtype=object), granularity)
 
 
 @pytest.fixture(scope="session")

@@ -46,7 +46,7 @@ from idspipe.select import (
 from idspipe.synth import synthetic_lines
 
 from conftest import find_kddtrain, toy_dataset
-from test_classify import HAND_COLUMNS, HAND_LABELS, oracle_posterior
+from test_classify import HAND_COLUMNS, HAND_LABELS, oracle_posterior, weighted_fit
 from test_discretize import oracle_mdlp
 from test_select import FixedCache, oracle_entropy, oracle_ig, oracle_su, planted_dataset
 
@@ -163,9 +163,7 @@ def test_criterion_05_naive_bayes_correctness():
             assert abs(post.sum() - 1.0) < 1e-12
             for c, lbl in enumerate(model.labels):
                 assert abs(post[c] - expected[lbl]) < 1e-12
-        scaled = train_naive_bayes(
-            toy_dataset(HAND_COLUMNS, HAND_LABELS, weights=[3.0] * 4)
-        )
+        scaled = weighted_fit(ds, [3.0] * 4)
         assert np.allclose(model.priors, scaled.priors, atol=1e-12)
         for a, b in zip(model.cond, scaled.cond):
             assert np.allclose(a, b, atol=1e-12)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from idspipe.classify import (
+    DEFAULT_SMOOTHING,
     ERROR_FLOOR,
     MIN_VOTE_WEIGHT,
     EnsembleModel,
@@ -32,8 +33,14 @@ HAND_COLUMNS = [["x", "x", "y", "y"], ["p", "q", "p", "q"]]
 HAND_LABELS = ["a", "a", "a", "b"]
 
 
-def hand_dataset(weights=None):
-    return toy_dataset(HAND_COLUMNS, HAND_LABELS, weights=weights)
+def hand_dataset():
+    return toy_dataset(HAND_COLUMNS, HAND_LABELS)
+
+
+def weighted_fit(ds, weights, label_set=None):
+    """The naive Bayes fit a boosting round makes, on records weighed by ``weights``."""
+    ts = classify._TrainingSet.of(ds, DEFAULT_SMOOTHING, label_set)
+    return classify._fit_naive_bayes(ts, np.asarray(weights, dtype=float), DEFAULT_SMOOTHING)
 
 
 def oracle_posterior(record_values):
@@ -103,7 +110,7 @@ class TestTrainNaiveBayes:
 
     def test_weight_scale_invariance(self):
         base = train_naive_bayes(hand_dataset())
-        doubled = train_naive_bayes(hand_dataset(weights=[2.0] * 4))
+        doubled = weighted_fit(hand_dataset(), [2.0] * 4)
         assert np.allclose(base.priors, doubled.priors, atol=1e-12)
         for a, b in zip(base.cond, doubled.cond):
             assert np.allclose(a, b, atol=1e-12)
@@ -114,9 +121,18 @@ class TestTrainNaiveBayes:
             assert (table > 0).all()
             assert np.allclose(table.sum(axis=0), 1.0, atol=1e-12)
 
-    def test_zero_weight_errors(self):
-        with pytest.raises(ValueError):
-            train_naive_bayes(hand_dataset(weights=[0.0] * 4))
+    def test_empty_dataset_errors(self):
+        with pytest.raises(ValueError, match="cannot train on an empty dataset"):
+            train_naive_bayes(hand_dataset().subset([]))
+        with pytest.raises(ValueError, match="cannot train on an empty dataset"):
+            next(boost_rounds(hand_dataset().subset([])))
+
+    @pytest.mark.parametrize("smoothing", [0.0, -1.0, math.nan, math.inf])
+    def test_smoothing_must_be_finite_and_positive(self, smoothing):
+        with pytest.raises(ValueError, match="smoothing constant must be finite and positive"):
+            train_naive_bayes(hand_dataset(), smoothing=smoothing)
+        with pytest.raises(ValueError, match="smoothing constant must be finite and positive"):
+            next(boost_rounds(hand_dataset(), smoothing=smoothing))
 
     def test_label_outside_declared_set(self):
         with pytest.raises(ValueError):
@@ -447,15 +463,9 @@ class TestTrainClassifier:
         assert ensemble_text(ensemble) == ensemble_text(reference)
 
 
-def recoded(ds, weights=None):
+def recoded(ds):
     """The records of ``ds`` encoded afresh from their decoded values."""
-    return Dataset.from_columns(
-        ds.schema,
-        columns_of(ds),
-        ds.labels,
-        ds.weights.copy() if weights is None else weights,
-        ds.granularity,
-    )
+    return Dataset.from_columns(ds.schema, columns_of(ds), ds.labels, ds.granularity)
 
 
 def reference_adaboost(ds, rounds, labels):
@@ -464,7 +474,7 @@ def reference_adaboost(ds, rounds, labels):
     weights = np.full(len(ds), 1.0 / len(ds))
     kept = []
     for t in range(rounds):
-        model = train_naive_bayes(recoded(ds, weights), label_set=labels)
+        model = weighted_fit(recoded(ds), weights, label_set=labels)
         mis = nb_predict_batch(model, recoded(ds)) != y
         error = float(weights[mis].sum())
         if error >= 0.5:
@@ -505,13 +515,26 @@ def split_datasets(draw):
         FeatureSchema(tuple((f"f{i}", DISCRETE) for i in range(1, len(columns) + 1))),
         columns,
         labels,
-        np.ones(n),
     )
     in_train = draw(st.lists(st.booleans(), min_size=n, max_size=n).filter(any))
     return full, np.flatnonzero(in_train), np.flatnonzero(np.logical_not(in_train))
 
 
 class TestCodedPath:
+    @given(split=split_datasets())
+    @settings(max_examples=60, deadline=None)
+    def test_plain_naive_bayes_is_boostings_first_round(self, split):
+        full, train_idx, _ = split
+        labels = full.label_set()
+        train = full.subset(train_idx)
+        plain = train_naive_bayes(train, label_set=labels)
+        first = next(boost_rounds(train, rounds=1, label_set=labels)).model
+        assert plain.labels == first.labels
+        assert plain.feature_values == first.feature_values
+        np.testing.assert_allclose(plain.priors, first.priors, rtol=1e-12)
+        for a, b in zip(plain.cond, first.cond):
+            np.testing.assert_allclose(a, b, rtol=1e-12)
+
     @given(split=split_datasets(), rounds=st.integers(1, 6))
     @settings(max_examples=80, deadline=None)
     def test_boosting_matches_per_round_raw_reference(self, split, rounds):

@@ -1,6 +1,7 @@
 import errno
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -360,6 +361,39 @@ class TestStageFailures:
         assert f"invalid config file {config}: {section}.seed must be non-negative" in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("smoothing", [math.nan, math.inf])
+    def test_non_finite_config_smoothing_names_the_key(
+        self, small_synth, tmp_path, capsys, smoothing
+    ):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "input_path": str(small_synth),
+            "experiment": {"classifier": {"smoothing": smoothing}},
+        }))
+        capsys.readouterr()
+        code = run_cli("run", "--config", config, "--out", tmp_path / "o")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert (
+            f"invalid config file {config}: classifier.smoothing must be finite and positive"
+            in err
+        )
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("smoothing", ["nan", "inf"])
+    def test_non_finite_train_smoothing_is_a_data_error(
+        self, raw_csv, tmp_path, capsys, smoothing
+    ):
+        capsys.readouterr()
+        code = run_cli(
+            "train", raw_csv, "--smoothing", smoothing, "--out", tmp_path / "m.json"
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: stage train: classifier.smoothing must be finite and positive\n"
+        )
+        assert not (tmp_path / "m.json").exists()
+
     @pytest.mark.parametrize(
         "command, flags, option",
         [
@@ -369,6 +403,9 @@ class TestStageFailures:
             ("reproduce-tables", ["--k", "1"], "--k"),
             ("reproduce-tables", ["--rounds", "0"], "--rounds"),
             ("reproduce-tables", ["--alpha", "2"], "--alpha"),
+            ("train", ["--rounds", "0"], "--rounds"),
+            ("train", ["--smoothing", "0"], "--smoothing"),
+            ("select", ["--alpha", "2"], "--alpha"),
         ],
     )
     def test_out_of_range_option_is_usage_error(

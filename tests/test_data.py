@@ -84,7 +84,6 @@ class TestParse:
         assert len(ds) == 1
         assert ds.labels[0] == "neptune"
         assert ds.granularity == ATTACK23
-        assert ds.weights[0] == 1.0
 
     def test_wrong_field_count(self):
         with pytest.raises(ParseError, match="expected 42 or 43 fields"):
@@ -171,7 +170,6 @@ class TestBlockParse:
     @settings(max_examples=150, deadline=None)
     def test_blocks_of_any_size_code_as_one_block(self, lines, features):
         whole = parse_records(lines, SMALL_SCHEMA)
-        assert whole.weights.tolist() == [1.0] * len(whole)
         for block in (1, 2, 3):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(data, "_BLOCK_LINES", block)
@@ -227,7 +225,7 @@ class TestBlockParse:
         finally:
             tracemalloc.stop()
         assert len(ds) == 8 * data._BLOCK_LINES
-        result = sum(c.nbytes for c in ds.codes) + ds.label_codes.nbytes + ds.weights.nbytes
+        result = sum(c.nbytes for c in ds.codes) + ds.label_codes.nbytes
         # holding every line's fields at once peaks at over 5x the result
         assert peak < 3 * result
 
@@ -271,14 +269,13 @@ class TestMapLabels:
         with pytest.raises(ValueError):
             map_labels(ds)
 
-    def test_values_and_weights_preserved(self):
+    def test_values_preserved(self):
         lines = [make_line(lbl) for lbl in ("back", "teardrop", "satan", "spy")]
         ds = parse_records(lines)
         mapped = map_labels(ds)
         assert len(mapped) == len(ds)
         for a, b in zip(columns_of(ds), columns_of(mapped)):
             assert np.array_equal(a, b)
-        assert np.array_equal(ds.weights, mapped.weights)
 
     def test_full_category_map(self):
         # spot checks across all four categories

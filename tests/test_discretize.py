@@ -398,7 +398,6 @@ class TestFitApply:
         assert out.column(2).tolist() == ["u", "v", "u"]
         assert out.schema.continuous_indices == ()
         assert np.array_equal(out.labels, ds.labels)
-        assert np.array_equal(out.weights, ds.weights)
 
     def test_out_of_range_clamps_to_edge_bins(self):
         ds = toy_dataset([[i / 2 for i in range(8)]], ["a"] * 4 + ["b"] * 4,

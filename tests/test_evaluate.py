@@ -468,9 +468,7 @@ def coded_training_folds(draw):
 
 def recoded(ds):
     """The same records, encoded afresh from their decoded values."""
-    return Dataset.from_columns(
-        ds.schema, columns_of(ds), ds.labels, ds.weights, ds.granularity
-    )
+    return Dataset.from_columns(ds.schema, columns_of(ds), ds.labels, ds.granularity)
 
 
 class TestCarriedCoding:

@@ -5,6 +5,7 @@ through them; a renamed or bypassed function silently zeroes a metric.
 """
 
 import ast
+import dataclasses
 import importlib.util
 import os
 import sys
@@ -306,6 +307,35 @@ def test_only_build_report_constructs_a_report():
                 where = "build_report" if id(node) in allowed else f"{path.name}:{node.lineno}"
                 found.append(where)
     assert found == ["build_report"]
+
+
+def test_a_dataset_holds_no_weights():
+    # record weights belong to boosting alone: a dataset is its coding
+    assert [f.name for f in dataclasses.fields(data.Dataset)] == [
+        "schema", "codes", "vocabs", "label_codes", "label_vocab", "granularity",
+    ]
+
+
+def test_every_fit_is_checked_by_the_training_set_builder():
+    # plain naive Bayes and boosting take their checks and label order from
+    # _TrainingSet.of, not from copies of their own
+    tree = ast.parse((PACKAGE / "classify.py").read_text())
+    [training_set] = [
+        node for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name == "_TrainingSet"
+    ]
+    [builder] = [
+        node for node in training_set.body
+        if isinstance(node, ast.FunctionDef) and node.name == "of"
+    ]
+    inside = {id(node) for node in ast.walk(builder)}
+    checks = {"check_discrete", "label_set"}
+    found = [
+        (ast.unparse(node.func).split(".")[-1], id(node) in inside)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] in checks
+    ]
+    assert sorted(found) == [("check_discrete", True), ("label_set", True)]
 
 
 def used_names(tree: ast.Module) -> set[str]:
