@@ -23,7 +23,6 @@ from .config import (
 from .classify import (
     EnsembleModel,
     NaiveBayesModel,
-    nb_predict,
     train_adaboost_m1,
     train_naive_bayes,
 )
@@ -51,7 +50,6 @@ from .evaluate import (
     ConfusionMatrix,
     EvaluationReport,
     aggregate,
-    cross_validate,
     per_class_metrics,
 )
 from .pipeline import reproduce_tables, run_experiment

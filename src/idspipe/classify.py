@@ -237,17 +237,6 @@ def _fit_naive_bayes(ts: _TrainingSet, w: np.ndarray, smoothing: float) -> Naive
     )
 
 
-def nb_predict(model: NaiveBayesModel, ds: Dataset) -> np.ndarray:
-    """Normalized posteriors (records x classes in ``model.labels`` order).
-
-    Computed in log space: each row is shifted by its maximum before
-    exponentiation.
-    """
-    scores = model.log_posteriors(ds)
-    shifted = np.exp(scores - scores.max(axis=1, keepdims=True))
-    return shifted / shifted.sum(axis=1, keepdims=True)
-
-
 def nb_predict_batch(model: NaiveBayesModel, ds: Dataset) -> np.ndarray:
     """Argmax class index per record; ties break toward the first label."""
     return model.log_posteriors(ds).argmax(axis=1)

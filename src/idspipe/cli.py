@@ -39,6 +39,16 @@ def _resolve_input(path: str) -> str:
     return path
 
 
+def _checked_alpha(ctx, param, value):
+    """An ``--alpha`` value that SelectionConfig accepts; the range type lets NaN through."""
+    if value is not None:
+        try:
+            SelectionConfig(alpha=value)
+        except ValueError as exc:
+            raise click.UsageError(str(exc)) from exc
+    return value
+
+
 @click.group()
 def cli():
     """Intrusion-detection experiment pipeline."""
@@ -101,7 +111,11 @@ def discretize_cmd(dataset_path, out):
     show_default=True,
 )
 @click.option(
-    "--alpha", type=click.FloatRange(0, 1), default=DEFAULT_HYBRID_ALPHA, show_default=True
+    "--alpha",
+    type=click.FloatRange(0, 1),
+    default=DEFAULT_HYBRID_ALPHA,
+    show_default=True,
+    callback=_checked_alpha,
 )
 @click.option("--out", required=True, help="Output selection JSON path.")
 @pipeline._stage("select")
@@ -154,6 +168,8 @@ def eval_cmd(dataset_path, model_path, out):
     """Evaluate a trained model on a held-out discrete dataset."""
     kind, model, features = data.read_json(model_path, load_model_payload, "model file")
     ds = data.read_dataset(_resolve_input(dataset_path), features)
+    # a model scores bins: a raw value misses every one of them
+    data.check_discrete(ds, "eval")
     codes = classify.ensemble_predict_batch(model, ds)
     label_set = sorted(set(model.labels) | set(ds.label_set()))
     report = build_report(
@@ -248,7 +264,11 @@ def run_cmd(config_path, **kw):
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--rounds", type=click.IntRange(min=1), default=10, show_default=True)
 @click.option(
-    "--alpha", type=click.FloatRange(0, 1), default=None, help="Hybrid-stage alpha override."
+    "--alpha",
+    type=click.FloatRange(0, 1),
+    default=None,
+    callback=_checked_alpha,
+    help="Hybrid-stage alpha override.",
 )
 @click.option("--k", type=click.IntRange(min=2), default=10, show_default=True)
 @click.option(
@@ -259,12 +279,6 @@ def run_cmd(config_path, **kw):
 )
 def reproduce_tables_cmd(input_path, out, seed, rounds, alpha, k, sample):
     """Run the full selector-comparison grids at both granularities."""
-    if alpha is not None:
-        # the range check lets NaN through; reject it before any work is done
-        try:
-            SelectionConfig(method="hybrid", alpha=alpha)
-        except ValueError as exc:
-            raise click.UsageError(str(exc)) from exc
     written = reproduce_tables(
         _resolve_input(input_path),
         out,

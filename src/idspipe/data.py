@@ -161,16 +161,8 @@ class FeatureSchema:
         return self.features[index - 1][1]
 
     @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.features)
-
-    @property
     def continuous_indices(self) -> tuple[int, ...]:
         return tuple(i for i, (_, k) in enumerate(self.features, 1) if k == CONTINUOUS)
-
-    @property
-    def discrete_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, (_, k) in enumerate(self.features, 1) if k == DISCRETE)
 
     def all_discrete(self) -> "FeatureSchema":
         """Same feature names with every kind set to discrete."""
@@ -202,10 +194,10 @@ def json_line(payload) -> str:
 
 def check_discrete(ds: "Dataset", noun: str) -> None:
     """Raise SchemaError naming the continuous features; ``noun`` names the caller."""
-    bad = [i for i in range(1, len(ds.schema) + 1) if ds.schema.kind(i) != DISCRETE]
+    bad = [name for name, kind in ds.schema.features if kind != DISCRETE]
     if bad:
         raise SchemaError(
-            f"{noun} requires a fully discrete dataset; continuous features: {bad}"
+            f"{noun} requires a fully discrete dataset; continuous features: {', '.join(bad)}"
         )
 
 
@@ -304,20 +296,6 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.label_codes)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Dataset):
-            return NotImplemented
-        return (
-            self.schema == other.schema
-            and self.granularity == other.granularity
-            and len(self) == len(other)
-            and np.array_equal(self.labels, other.labels)
-            and all(
-                np.array_equal(self.column(i), other.column(i))
-                for i in range(1, len(self.schema) + 1)
-            )
-        )
-
     def column(self, index: int) -> np.ndarray:
         """Values of a 1-based feature, decoded: floats if continuous."""
         dtype = float if self.schema.kind(index) == CONTINUOUS else object
@@ -352,11 +330,6 @@ class Dataset:
             missing = self.label_vocab[self.label_codes[int(np.argmax(positions < 0))]]
             raise ValueError(f"label {missing!r} not in the declared label set")
         return positions
-
-    def class_counts(self) -> dict[str, int]:
-        return {
-            str(v): int(c) for v, c in zip(self.label_vocab, self._label_counts()) if c
-        }
 
     def subset(self, row_indices) -> "Dataset":
         idx = np.asarray(row_indices, dtype=np.int64)
@@ -609,9 +582,6 @@ class FoldPlan:
         a = np.asarray(self.assignments)
         if len(a) and (a.min() < 0 or a.max() >= self.k):
             raise ValueError("fold assignments outside [0, k)")
-
-    def __len__(self) -> int:
-        return len(self.assignments)
 
     def test_indices(self, fold: int) -> np.ndarray:
         return np.flatnonzero(self.assignments == fold)

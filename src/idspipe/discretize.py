@@ -9,9 +9,7 @@ cut), so out-of-range values land in the first or last bin.
 
 from __future__ import annotations
 
-import json
 import math
-from bisect import bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -223,9 +221,6 @@ class CutPointList:
     def n_bins(self) -> int:
         return len(self.cuts) + 1
 
-    def bin_of(self, value: float) -> int:
-        return bisect_right(self.cuts, value)
-
 
 @dataclass(frozen=True)
 class DiscretizationModel:
@@ -240,12 +235,6 @@ class DiscretizationModel:
             raise SchemaError(
                 "cut lists must cover exactly the schema's continuous features"
             )
-
-    def cuts_for(self, index: int) -> CutPointList:
-        for c in self.cut_lists:
-            if c.feature_index == index:
-                return c
-        raise KeyError(index)
 
     def to_payload(self) -> dict:
         return {
@@ -265,10 +254,6 @@ class DiscretizationModel:
             for idx in schema.continuous_indices
         )
         return cls(schema=schema, cut_lists=cut_lists)
-
-    @classmethod
-    def from_json(cls, text: str) -> "DiscretizationModel":
-        return cls.from_payload(json.loads(text))
 
 
 def fit_discretizer(train: Dataset) -> DiscretizationModel:

@@ -18,7 +18,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from . import classify, discretize, select
-from .data import Dataset, FoldPlan, json_text, stratified_folds
+from .data import Dataset, FoldPlan, json_text
 
 
 @dataclass(eq=False)
@@ -38,9 +38,6 @@ class ConfusionMatrix:
     @property
     def total(self) -> int:
         return int(self.counts.sum())
-
-    def support(self, label: str) -> int:
-        return int(self.counts[self.labels.index(label)].sum())
 
     def to_payload(self) -> dict:
         return {
@@ -225,19 +222,6 @@ def _fit_predict(
     return classify.ensemble_predict_batch(model, test)
 
 
-def cross_validate(ds: Dataset, config, k: int, seed: int) -> EvaluationReport:
-    """k-fold cross-validation of the configured pipeline on one dataset.
-
-    ``config`` is an ExperimentConfig: discretization mode (``leaky`` fits
-    the discretizer and selector once on the full dataset; ``fold-safe``
-    refits them inside each training fold), selection method and alpha, and
-    the classifier settings. Every record is predicted exactly once from a
-    model that never saw it (up to the declared leakage mode).
-    """
-    plan = stratified_folds(ds, k, seed)
-    return cross_validate_plan(ds, config, plan, seed=seed)
-
-
 def usable_cpus() -> int:
     """CPUs this process may run on; 1 where the platform cannot fork."""
     if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
@@ -370,7 +354,13 @@ def cross_validate_plan(
     seed: int | None = None,
     fitted: Preprocessing | None = None,
 ) -> EvaluationReport:
-    """Cross-validate against an explicit fold plan (pooled predictions).
+    """Cross-validate the configured pipeline against a fold plan (pooled predictions).
+
+    ``config`` is an ExperimentConfig: discretization mode (``leaky`` fits
+    the discretizer and selector once on the full dataset; ``fold-safe``
+    refits them inside each training fold), selection method and alpha, and
+    the classifier settings. Every record is predicted exactly once from a
+    model that never saw it (up to the declared leakage mode).
 
     In leaky mode ``fitted`` is the preprocessing already fitted on ``ds``
     by :func:`fit_preprocessing`; it is fitted here when not given. The

@@ -7,6 +7,12 @@ intercorrelation, both measured as symmetrical uncertainty). Greedy-forward
 and best-first searches optimize merit; the hybrid selector unions the
 greedy CFS subset with top information-gain features drawn from the rest.
 
+Each measure has one implementation. :func:`_class_scores` scores features
+against the class, for the rankers, the correlation cache and the public
+column scorers (:func:`info_gain`, :func:`gain_ratio`,
+:func:`symmetrical_uncertainty`, which code their two columns and call it);
+``CorrelationCache._su_row`` computes the feature-feature correlations.
+
 Feature indices are 1-based relative to the dataset schema. Ties always
 break toward the smallest feature index.
 """
@@ -36,104 +42,104 @@ SELECTION_METHODS = (
 BEST_FIRST_STALE_LIMIT = 5
 
 
-@dataclass(eq=False)
-class ContingencyTable:
-    """Joint counts over (feature value, class label) pairs."""
-
-    counts: np.ndarray
-
-    def __post_init__(self):
-        if self.counts.ndim != 2:
-            raise ValueError("contingency counts must be 2-dimensional")
-        if (self.counts < 0).any():
-            raise ValueError("contingency counts must be non-negative")
-        if self.counts.sum() <= 0:
-            raise ValueError("contingency table is empty")
-
-    @classmethod
-    def from_columns(cls, x, y) -> "ContingencyTable":
-        xc, xv = encode(x)
-        yc, yv = encode(y)
-        if len(xc) != len(yc):
-            raise ValueError("columns must have the same length")
-        if len(xc) == 0:
-            raise ValueError("columns are empty")
-        return cls.from_codes(xc, len(xv), yc, len(yv))
-
-    @classmethod
-    def from_codes(cls, xc, nx: int, yc, ny: int) -> "ContingencyTable":
-        """Table of two code arrays over vocabularies of sizes ``nx`` and ``ny``."""
-        joint = np.bincount(xc * ny + yc, minlength=nx * ny).astype(float)
-        return cls(counts=joint.reshape(nx, ny))
-
-    @property
-    def total(self) -> float:
-        return float(self.counts.sum())
-
-    @property
-    def row_totals(self) -> np.ndarray:
-        return self.counts.sum(axis=1)
-
-    @property
-    def col_totals(self) -> np.ndarray:
-        return self.counts.sum(axis=0)
-
-
-def _conditional_entropy(table: ContingencyTable) -> float:
-    """H(Y|X) where rows of the table index X values."""
-    total = table.total
-    h = 0.0
-    for row in table.counts:
-        row_total = row.sum()
-        if row_total > 0:
-            h += (row_total / total) * entropy(row)
-    return h
-
-
-def _ig_from_table(table: ContingencyTable) -> float:
-    return entropy(table.col_totals) - _conditional_entropy(table)
-
-
-def _gain_ratio_from_table(table: ContingencyTable) -> float:
-    hx = entropy(table.row_totals)
-    if hx == 0.0:
-        return 0.0
-    return _ig_from_table(table) / hx
-
-
-def info_gain(x, y) -> float:
-    """Mutual information IG(X;Y) = H(Y) - H(Y|X), in bits."""
-    return _ig_from_table(ContingencyTable.from_columns(x, y))
-
-
-def gain_ratio(x, y) -> float:
-    """IG(X;Y) / H(X); zero for a constant feature."""
-    return _gain_ratio_from_table(ContingencyTable.from_columns(x, y))
-
-
 def _su_value(ha: float, hb: float, h_joint: float) -> float:
     """2*(H(A)+H(B)-H(A,B))/(H(A)+H(B)), clamped to [0, 1]."""
     su = 2.0 * (ha + hb - h_joint) / (ha + hb)
     return min(1.0, max(0.0, su))
 
 
-def _su_from_table(table: ContingencyTable) -> float:
-    """Symmetrical uncertainty of a table; zero if either marginal is constant.
+# Scorers of a (feature value, class) table: information gain, gain ratio and
+# symmetrical uncertainty.
+_SCORERS = ("ig", "gainratio", "su")
 
-    The joint entropy sums counts in sorted order, so the result is
-    bit-identical under transposition of the table.
+
+def _class_scores(codes, cards, label_codes: np.ndarray, ncls: int, scorer: str) -> list[float]:
+    """``scorer`` of each feature's (value, class) table.
+
+    Feature f takes the codes ``codes[f]`` over ``cards[f]`` values, and
+    the records' classes are ``label_codes`` over ``ncls`` classes. This is
+    the one implementation of each measure: the selectors, the correlation
+    cache's feature-class row and the public column scorers all call it.
+
+    Each table's row, marginal and cell entropies come from one
+    :func:`segment_entropies` call each, which sums every entropy's terms
+    as :func:`entropy` does. H(Y|X) weights each value's class entropy by
+    its share of the records and adds the values' terms left to right from
+    0.0, in value order. SU sums a table's positive counts in ascending
+    order, so it is bit-identical under transposing the table. A constant
+    feature scores 0 by gain ratio and SU, and so does every feature by SU
+    when there is one class.
     """
-    ha = entropy(table.row_totals)
-    hb = entropy(table.col_totals)
-    if ha == 0.0 or hb == 0.0:
-        return 0.0
-    joint = np.sort(table.counts.ravel())
-    return _su_value(ha, hb, entropy(joint[joint > 0]))
+    if not codes:
+        return []
+    n = len(label_codes)
+    if n == 0:
+        raise ValueError("contingency table is empty")
+    # every table's rows stacked, each row a (value, class) count vector
+    joint = np.concatenate(
+        [
+            np.bincount(c * ncls + label_codes, minlength=card * ncls)
+            for c, card in zip(codes, cards)
+        ]
+    ).reshape(-1, ncls)
+    table = np.repeat(np.arange(len(codes)), cards)  # the table of each row
+    hy = entropy(np.bincount(label_codes, minlength=ncls))
+    totals = joint.sum(axis=1)
+    live = totals > 0  # rows of values some record takes
+    n_live = np.bincount(table[live], minlength=len(codes))
+    live_totals = totals[live].astype(float)
+    hx = segment_entropies(live_totals, n_live, n).tolist()  # H(X) of each table
+    if scorer == "su":
+        # each table's positive counts in ascending order: one sort of
+        # (table, count) keys
+        cell_rows, cell_cols = np.nonzero(joint)
+        cell_table = table[cell_rows]
+        ordered = np.sort(cell_table * (n + 1) + joint[cell_rows, cell_cols])
+        h_joint = segment_entropies(
+            (ordered % (n + 1)).astype(float), np.bincount(cell_table, minlength=len(codes)), n
+        ).tolist()
+        return [
+            0.0 if ha == 0.0 or hy == 0.0 else _su_value(ha, hy, hj)
+            for ha, hj in zip(hx, h_joint)
+        ]
+    rows = joint[live].astype(float)
+    positive = rows > 0
+    h_rows = segment_entropies(rows[positive], positive.sum(axis=1), live_totals)
+    weighted = ((live_totals / float(n)) * h_rows).tolist()
+    ends = np.cumsum(n_live).tolist()
+    ig = [hy - _sum_left_to_right(weighted[a:b]) for a, b in zip([0, *ends], ends)]
+    if scorer == "ig":
+        return ig
+    return [0.0 if h == 0.0 else g / h for g, h in zip(ig, hx)]
+
+
+def _column_score(x, y, scorer: str) -> float:
+    """``scorer`` of raw column ``x`` against raw column ``y``, by :func:`_class_scores`."""
+    xc, xv = encode(x)
+    yc, yv = encode(y)
+    if len(xc) != len(yc):
+        raise ValueError("columns must have the same length")
+    if len(xc) == 0:
+        raise ValueError("columns are empty")
+    return _class_scores([xc], [len(xv)], yc, len(yv), scorer)[0]
+
+
+def info_gain(x, y) -> float:
+    """Mutual information IG(X;Y) = H(Y) - H(Y|X), in bits."""
+    return _column_score(x, y, "ig")
+
+
+def gain_ratio(x, y) -> float:
+    """IG(X;Y) / H(X); zero for a constant feature."""
+    return _column_score(x, y, "gainratio")
 
 
 def symmetrical_uncertainty(a, b) -> float:
-    """2*IG/(H(A)+H(B)), clamped to [0, 1]; zero if either side is constant."""
-    return _su_from_table(ContingencyTable.from_columns(a, b))
+    """2*IG/(H(A)+H(B)), clamped to [0, 1]; zero if either side is constant.
+
+    Bit-identical under swapping ``a`` and ``b``.
+    """
+    return _column_score(a, b, "su")
 
 
 # Key entries counted by one bincount of CorrelationCache._su_row: enough
@@ -160,8 +166,7 @@ class CorrelationCache:
         self._cards = np.array([0] + [len(v) for v in ds.vocabs])
         # Key rows of one bincount, rewritten by every _su_row call
         self._keys = np.empty((max(1, _KEY_BUDGET // len(ds)), len(ds)), dtype=np.int64)
-        # Marginal entropies from the same bincount as a contingency table's
-        # row totals, so each is bitwise equal to entropy(table.row_totals).
+        # Marginal entropies of the value counts, as _class_scores sums them
         self._h = np.array(
             [0.0]
             + [
@@ -169,12 +174,10 @@ class CorrelationCache:
                 for c, n in zip(ds.codes, self._cards[1:].tolist())
             ]
         )
-        ncls = len(ds.label_vocab)
-        hy = entropy(np.bincount(ds.label_codes, minlength=ncls))
-        self._class_su = np.zeros(self.n_features + 1)
-        self._class_su[1:] = self._su_row(
-            ds.label_codes, ncls, hy, np.arange(1, self.n_features + 1)
+        class_su = _class_scores(
+            ds.codes, self._cards[1:].tolist(), ds.label_codes, len(ds.label_vocab), "su"
         )
+        self._class_su = np.array([0.0, *class_su])
         self._ff = np.full((self.n_features + 1, self.n_features + 1), np.nan)
         self._ff[0, :] = self._ff[:, 0] = 0.0  # no feature 0
         np.fill_diagonal(self._ff, [1.0 if h > 0 else 0.0 for h in self._h])
@@ -396,62 +399,6 @@ def best_first_search(ds: Dataset, cache: CorrelationCache | None = None) -> Fea
     return FeatureSubset(indices=best_subset, merit=best_merit)
 
 
-# Scorers of a (feature value, class) table: information gain, gain ratio and
-# symmetrical uncertainty.
-_SCORERS = ("ig", "gainratio", "su")
-
-
-def _class_scores(ds: Dataset, features: list[int], scorer: str) -> list[float]:
-    """``scorer`` of each feature's (value, class) table.
-
-    Bit for bit what :func:`_ig_from_table`, :func:`_gain_ratio_from_table`
-    or :func:`_su_from_table` gives for the table.
-
-    The tables' row, marginal and cell entropies come from one
-    :func:`segment_entropies` call each instead of one :func:`entropy` call
-    per table row. Every entropy sums its terms as ``entropy`` does, and
-    each H(Y|X) adds its rows' terms left to right from 0.0, as
-    :func:`_conditional_entropy` does.
-    """
-    if not features:
-        return []
-    n = len(ds)
-    if n == 0:
-        raise ValueError("contingency table is empty")
-    ncls = len(ds.label_vocab)
-    tables = [
-        np.bincount(
-            ds.codes[i - 1] * ncls + ds.label_codes, minlength=len(ds.vocabs[i - 1]) * ncls
-        )
-        .reshape(-1, ncls)
-        .astype(float)
-        for i in features
-    ]
-    hy = entropy(np.bincount(ds.label_codes, minlength=ncls))
-    row_totals = [t.sum(axis=1) for t in tables]
-    n_live = np.array([np.count_nonzero(r) for r in row_totals])  # rows with records
-    live_totals = np.concatenate([r[r > 0] for r in row_totals])
-    hx = segment_entropies(live_totals, n_live, n).tolist()  # H(X) of each table
-    if scorer == "su":
-        cells = [np.sort(t[t > 0]) for t in tables]
-        h_joint = segment_entropies(
-            np.concatenate(cells), np.array([len(c) for c in cells]), n
-        ).tolist()
-        return [
-            0.0 if ha == 0.0 or hy == 0.0 else _su_value(ha, hy, hj)
-            for ha, hj in zip(hx, h_joint)
-        ]
-    rows = np.concatenate([t[r > 0] for t, r in zip(tables, row_totals)])
-    positive = rows > 0
-    h_rows = segment_entropies(rows[positive], positive.sum(axis=1), live_totals)
-    weighted = ((live_totals / float(n)) * h_rows).tolist()
-    ends = np.cumsum(n_live).tolist()
-    ig = [hy - _sum_left_to_right(weighted[a:b]) for a, b in zip([0, *ends], ends)]
-    if scorer == "ig":
-        return ig
-    return [0.0 if h == 0.0 else g / h for g, h in zip(ig, hx)]
-
-
 def rank_threshold(
     ds: Dataset,
     scorer: str,
@@ -475,7 +422,14 @@ def rank_threshold(
         if include is not None
         else list(range(1, len(ds.schema) + 1))
     )
-    scored = list(zip(considered, _class_scores(ds, considered, scorer)))
+    scores = _class_scores(
+        [ds.codes[i - 1] for i in considered],
+        [len(ds.vocabs[i - 1]) for i in considered],
+        ds.label_codes,
+        len(ds.label_vocab),
+        scorer,
+    )
+    scored = list(zip(considered, scores))
     max_score = max((s for _, s in scored), default=0.0)
     if max_score <= 0.0:
         return RankedFeatures(entries=())

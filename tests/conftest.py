@@ -1,16 +1,57 @@
 import os
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from idspipe.data import ATTACK23, CONTINUOUS, DISCRETE, Dataset, FeatureSchema
+from idspipe.data import (
+    ATTACK23,
+    CONTINUOUS,
+    DISCRETE,
+    Dataset,
+    FeatureSchema,
+    stratified_folds,
+)
+from idspipe.evaluate import cross_validate_plan
 from idspipe.synth import synthetic_lines
 
 
 def columns_of(ds):
     """Every column of ``ds``, decoded."""
     return [ds.column(i) for i in range(1, len(ds.schema) + 1)]
+
+
+def same_dataset(a, b):
+    """Same schema, granularity, labels and decoded columns."""
+    return (
+        a.schema == b.schema
+        and a.granularity == b.granularity
+        and len(a) == len(b)
+        and np.array_equal(a.labels, b.labels)
+        and all(np.array_equal(x, y) for x, y in zip(columns_of(a), columns_of(b)))
+    )
+
+
+def class_counts(ds):
+    """Records per label, for the labels some record takes."""
+    return {str(label): count for label, count in Counter(ds.labels.tolist()).items()}
+
+
+def cross_validate(ds, config, k, seed):
+    """k-fold cross-validation of ``config`` on ``ds``, over its stratified fold plan."""
+    return cross_validate_plan(ds, config, stratified_folds(ds, k, seed), seed=seed)
+
+
+def nb_predict(model, ds):
+    """Normalized posteriors (records x classes in ``model.labels`` order).
+
+    Computed in log space: each row is shifted by its maximum before
+    exponentiation.
+    """
+    scores = model.log_posteriors(ds)
+    shifted = np.exp(scores - scores.max(axis=1, keepdims=True))
+    return shifted / shifted.sum(axis=1, keepdims=True)
 
 
 def toy_dataset(columns, labels, kinds=None, granularity=ATTACK23):

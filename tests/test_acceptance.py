@@ -20,7 +20,6 @@ import pytest
 
 from idspipe.classify import (
     boost_rounds,
-    nb_predict,
     nb_predict_batch,
     train_adaboost_m1,
     train_naive_bayes,
@@ -33,7 +32,7 @@ from idspipe.config import (
 )
 from idspipe.data import parse_records, reference_sample_counts, sample_indices
 from idspipe.discretize import apply_discretizer, entropy, fit_discretizer, mdlp_cuts
-from idspipe.evaluate import cross_validate, per_class_metrics
+from idspipe.evaluate import per_class_metrics
 from idspipe.select import (
     CorrelationCache,
     best_first_search,
@@ -45,7 +44,7 @@ from idspipe.select import (
 )
 from idspipe.synth import synthetic_lines
 
-from conftest import find_kddtrain, toy_dataset
+from conftest import cross_validate, find_kddtrain, nb_predict, toy_dataset
 from test_classify import HAND_COLUMNS, HAND_LABELS, oracle_posterior, weighted_fit
 from test_discretize import oracle_mdlp
 from test_select import FixedCache, oracle_entropy, oracle_ig, oracle_su, planted_dataset

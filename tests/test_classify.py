@@ -14,7 +14,6 @@ from idspipe.classify import (
     NaiveBayesModel,
     boost_rounds,
     ensemble_predict_batch,
-    nb_predict,
     nb_predict_batch,
     train_adaboost_m1,
     train_classifier,
@@ -26,7 +25,7 @@ from idspipe.data import DISCRETE, Dataset, FeatureSchema
 from idspipe.errors import DataError
 from idspipe.pipeline import load_model_payload, model_json
 
-from conftest import columns_of, toy_dataset
+from conftest import columns_of, nb_predict, toy_dataset
 
 # 4 records, 2 features, labels 3xa / 1xb; the worked example used throughout.
 HAND_COLUMNS = [["x", "x", "y", "y"], ["p", "q", "p", "q"]]

@@ -13,9 +13,11 @@ import idspipe
 from idspipe import cli
 from idspipe.cli import main
 from idspipe.config import PipelineConfig, SampleConfig
-from idspipe.data import parse_records, read_dataset, sample_indices
+from idspipe.data import CONTINUOUS, NSLKDD_SCHEMA, parse_records, read_dataset, sample_indices
 from idspipe.pipeline import load_model_payload, run_experiment
 from idspipe.synth import synthetic_lines
+
+from conftest import class_counts
 
 
 def run_cli(*args):
@@ -139,7 +141,7 @@ class TestStageCommands:
             "--sample-seed", "3",
         ) == 0
         ds = read_dataset(out)
-        assert ds.class_counts() == {"normal": 40, "neptune": 20}
+        assert class_counts(ds) == {"normal": 40, "neptune": 20}
         manifest = json.loads((tmp_path / "sampled.csv.manifest.json").read_text())
         assert len(manifest["selected_indices"]) == 60
 
@@ -149,7 +151,7 @@ class TestStageCommands:
             "ingest", small_synth, "--out", out, "--granularity", "category5"
         ) == 0
         ds = read_dataset(out)
-        assert set(ds.class_counts()) <= {"Dos", "Probe", "R2L", "U2R", "normal"}
+        assert set(class_counts(ds)) <= {"Dos", "Probe", "R2L", "U2R", "normal"}
 
     def test_env_var_resolves_relative_input(self, small_synth, tmp_path, monkeypatch):
         monkeypatch.setenv("IDSPIPE_DATA", str(small_synth.parent))
@@ -419,7 +421,7 @@ class TestStageFailures:
         assert len(errors) == 1 and errors[0].startswith(f"Error: Invalid value for '{option}'")
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("command", ["run", "reproduce-tables"])
+    @pytest.mark.parametrize("command", ["run", "reproduce-tables", "select"])
     def test_nan_alpha_is_usage_error(self, small_synth, tmp_path, capsys, command):
         # the range check lets NaN through; the configuration rejects it
         # before any work is done
@@ -432,6 +434,32 @@ class TestStageFailures:
         assert errors == ["Error: selection.alpha must lie in [0, 1]"]
         assert "internal error" not in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
+
+    def test_eval_of_raw_records_is_a_data_error(self, small_synth, raw_csv, tmp_path, capsys):
+        # the model scores bins; the raw file's continuous values would all
+        # miss them and take the unseen row
+        run_dir = tmp_path / "run"
+        assert run_cli(
+            "run", "--input", small_synth, "--sample", "none", "--rounds", "3", "--k", "3",
+            "--out", run_dir,
+        ) == 0
+        _, _, features = load_model_payload(json.loads((run_dir / "model.json").read_text()))
+        continuous = [
+            NSLKDD_SCHEMA.name(i) for i in features if NSLKDD_SCHEMA.kind(i) == CONTINUOUS
+        ]
+        assert continuous
+        for records in (small_synth, raw_csv):
+            capsys.readouterr()
+            code = run_cli(
+                "eval", records, "--model", run_dir / "model.json", "--out", tmp_path / "r.json"
+            )
+            err = capsys.readouterr().err
+            assert code == 2
+            assert err.splitlines() == [
+                "error: stage eval: eval requires a fully discrete dataset; "
+                f"continuous features: {', '.join(continuous)}"
+            ]
+            assert not (tmp_path / "r.json").exists()
 
     def test_config_section_that_is_not_an_object_is_named(self, small_synth, tmp_path, capsys):
         config = tmp_path / "config.json"

@@ -1,3 +1,4 @@
+import json
 import math
 from collections import Counter
 from unittest import mock
@@ -279,17 +280,27 @@ class TestMdlpCuts:
             assert by_value[below] != by_value[above] or len(by_value[below]) > 1
 
 
+def cuts_of(model, index):
+    """The cut list of 1-based feature ``index``."""
+    [cpl] = [c for c in model.cut_lists if c.feature_index == index]
+    return cpl
+
+
+def bins_of(cuts, values):
+    """Bin of each value under one feature's cut points, by apply_discretizer."""
+    ds = toy_dataset([values], ["a"] * len(values), kinds=[CONTINUOUS])
+    model = DiscretizationModel(ds.schema, (CutPointList(1, tuple(cuts)),))
+    return [int(b) for b in columns_of(apply_discretizer(model, ds))[0]]
+
+
 class TestCutPointList:
     def test_bin_convention(self):
-        cpl = CutPointList(5, (2.5,))
-        assert cpl.bin_of(1.0) == 0
-        assert cpl.bin_of(2.5) == 1  # left-closed: cuts[i-1] <= v < cuts[i]
-        assert cpl.bin_of(99.0) == 1
+        # left-closed: cuts[i-1] <= v < cuts[i]
+        assert bins_of([2.5], [1.0, 2.5, 99.0]) == [0, 1, 1]
 
     def test_empty_cuts_single_bin(self):
-        cpl = CutPointList(1, ())
-        assert cpl.n_bins == 1
-        assert cpl.bin_of(-100) == 0 and cpl.bin_of(100) == 0
+        assert CutPointList(1, ()).n_bins == 1
+        assert bins_of([], [-100.0, 100.0]) == [0, 0]
 
     def test_strictly_increasing_enforced(self):
         with pytest.raises(ValueError):
@@ -343,8 +354,8 @@ class TestFitApply:
             kinds=self.kinds(2),
         )
         model = fit_discretizer(ds)
-        assert model.cuts_for(1).cuts == ()
-        assert model.cuts_for(2).cuts == (2.5,)
+        assert cuts_of(model, 1).cuts == ()
+        assert cuts_of(model, 2).cuts == (2.5,)
 
     def test_single_record(self):
         ds = toy_dataset([[3.7], [1.0]], ["a"], kinds=self.kinds(2))
@@ -369,7 +380,7 @@ class TestFitApply:
         model = fit_discretizer(ds)
         for idx, (values, _) in enumerate(columns, start=1):
             expected = mdlp_cuts(values[:n], labels)
-            assert [c.hex() for c in model.cuts_for(idx).cuts] == [c.hex() for c in expected]
+            assert [c.hex() for c in cuts_of(model, idx).cuts] == [c.hex() for c in expected]
 
     @given(continuous_datasets(), st.sampled_from([1, 7, 1024]))
     @settings(max_examples=60, deadline=None)
@@ -382,7 +393,7 @@ class TestFitApply:
         labels = train.labels
         for idx in train.schema.continuous_indices:
             expected = reference_mdlp_cuts(train.column(idx), labels)
-            assert [c.hex() for c in model.cuts_for(idx).cuts] == [c.hex() for c in expected]
+            assert [c.hex() for c in cuts_of(model, idx).cuts] == [c.hex() for c in expected]
 
     def test_apply_bins_and_passthrough(self):
         ds = toy_dataset(
@@ -405,7 +416,7 @@ class TestFitApply:
         model = fit_discretizer(ds)
         probe = toy_dataset([[-50.0, 50.0]], ["a", "b"], kinds=self.kinds(1))
         out = apply_discretizer(model, probe)
-        n_bins = model.cuts_for(1).n_bins
+        n_bins = cuts_of(model, 1).n_bins
         assert out.column(1).tolist() == [0, n_bins - 1]
 
     def test_already_discrete_is_identity(self):
@@ -433,6 +444,6 @@ class TestFitApply:
             kinds=[CONTINUOUS, DISCRETE],
         )
         model = fit_discretizer(ds)
-        again = DiscretizationModel.from_json(model.to_json())
+        again = DiscretizationModel.from_payload(json.loads(model.to_json()))
         assert again == model
         assert again.to_json() == model.to_json()

@@ -2,6 +2,7 @@ import heapq
 import json
 import math
 from collections import Counter
+from dataclasses import dataclass
 from itertools import combinations
 from unittest import mock
 
@@ -11,10 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from idspipe import select
+from idspipe.data import encode
+from idspipe.discretize import entropy
 from idspipe.errors import SchemaError
 from idspipe.select import (
     BEST_FIRST_STALE_LIMIT,
-    ContingencyTable,
     CorrelationCache,
     FeatureSubset,
     RankedFeatures,
@@ -56,6 +58,77 @@ def oracle_su(a, b):
     if ha == 0 or hb == 0:
         return 0.0
     return 2.0 * oracle_ig(a, b) / (ha + hb)
+
+
+# --- table oracle: one (value, class) contingency table per measure --------
+#
+# The shipped kernels (select._class_scores and CorrelationCache._su_row)
+# score many tables at once; these score one table at a time with one
+# entropy() call per row, and must agree with the kernels bit for bit.
+
+@dataclass(eq=False)
+class ContingencyTable:
+    """Joint counts over (feature value, class label) pairs."""
+
+    counts: np.ndarray
+
+    @classmethod
+    def from_columns(cls, x, y):
+        (xc, xv), (yc, yv) = encode(x), encode(y)
+        return cls.from_codes(xc, len(xv), yc, len(yv))
+
+    @classmethod
+    def from_codes(cls, xc, nx, yc, ny):
+        """Table of two code arrays over vocabularies of sizes ``nx`` and ``ny``."""
+        joint = np.bincount(xc * ny + yc, minlength=nx * ny).astype(float)
+        return cls(counts=joint.reshape(nx, ny))
+
+    @property
+    def total(self):
+        return float(self.counts.sum())
+
+    @property
+    def row_totals(self):
+        return self.counts.sum(axis=1)
+
+    @property
+    def col_totals(self):
+        return self.counts.sum(axis=0)
+
+
+def table_conditional_entropy(table):
+    """H(Y|X) where rows of the table index X values."""
+    h = 0.0
+    for row in table.counts:
+        if row.sum() > 0:
+            h += (row.sum() / table.total) * entropy(row)
+    return h
+
+
+def table_ig(table):
+    return entropy(table.col_totals) - table_conditional_entropy(table)
+
+
+def table_gain_ratio(table):
+    hx = entropy(table.row_totals)
+    return 0.0 if hx == 0.0 else table_ig(table) / hx
+
+
+def table_su(table):
+    """Zero if either marginal is constant; joint counts summed in sorted order."""
+    ha, hb = entropy(table.row_totals), entropy(table.col_totals)
+    if ha == 0.0 or hb == 0.0:
+        return 0.0
+    joint = np.sort(table.counts.ravel())
+    su = 2.0 * (ha + hb - entropy(joint[joint > 0])) / (ha + hb)
+    return min(1.0, max(0.0, su))
+
+
+TABLE_SCORERS = {"ig": table_ig, "gainratio": table_gain_ratio, "su": table_su}
+
+
+def table_su_of_columns(a, b):
+    return table_su(ContingencyTable.from_columns(a, b))
 
 
 class FixedCache:
@@ -143,6 +216,19 @@ class TestScoring:
         assert su == symmetrical_uncertainty(b, a)
         assert su == pytest.approx(oracle_su(a, b), abs=1e-12)
 
+    @given(cols=columns_pairs, scorer=st.sampled_from(["ig", "gainratio", "su"]))
+    @settings(max_examples=150)
+    def test_column_scorers_hex_equal_table_scores(self, cols, scorer):
+        x, y = cols
+        score_fn = {"ig": info_gain, "gainratio": gain_ratio, "su": symmetrical_uncertainty}
+        expected = TABLE_SCORERS[scorer](ContingencyTable.from_columns(x, y))
+        assert score_fn[scorer](x, y).hex() == expected.hex()
+
+    def test_columns_of_different_lengths_error(self):
+        for score_fn in (info_gain, gain_ratio, symmetrical_uncertainty):
+            with pytest.raises(ValueError, match="same length"):
+                score_fn(["0", "1"], ["a"])
+
     @given(columns_pairs)
     @settings(max_examples=100)
     def test_contingency_marginals(self, cols):
@@ -192,11 +278,11 @@ class TestCorrelationCache:
         cache = CorrelationCache(ds)
         n = len(ds.schema)
         for i in range(1, n + 1):
-            expected = symmetrical_uncertainty(ds.column(i), ds.labels)
+            expected = table_su_of_columns(ds.column(i), ds.labels)
             assert cache.feature_class(i).hex() == expected.hex()
             for j in range(1, n + 1):
                 if j != i:
-                    expected = symmetrical_uncertainty(ds.column(i), ds.column(j))
+                    expected = table_su_of_columns(ds.column(i), ds.column(j))
                     assert cache.feature_feature(i, j).hex() == expected.hex()
 
     @given(ds=redundant_discrete_datasets(), data=st.data())
@@ -219,11 +305,11 @@ class TestCorrelationCache:
         for i, j in data.draw(pairs):
             cache.feature_feature(i, j)
         for i in range(1, n + 1):
-            expected = symmetrical_uncertainty(ds.column(i), ds.labels)
+            expected = table_su_of_columns(ds.column(i), ds.labels)
             assert float(class_su[i]).hex() == expected.hex()
             for j in range(1, n + 1):
                 if j != i:
-                    expected = symmetrical_uncertainty(ds.column(i), ds.column(j))
+                    expected = table_su_of_columns(ds.column(i), ds.column(j))
                     assert float(table[i, j]).hex() == expected.hex()
                     assert cache.feature_feature(i, j).hex() == expected.hex()
 
@@ -468,7 +554,7 @@ class TestBestFirstSearch:
         assert g.indices == (1,)
         assert b.indices == (1, 2, 5)
         assert b.merit > g.merit
-        n = len(ds.schema.names)
+        n = len(ds.schema)
         exhaustive_best = max(
             (cfs_merit(list(c), cache), c)
             for r in range(1, n + 1)
@@ -541,9 +627,8 @@ class TestRankThreshold:
         # vocabulary values and classes are absent from the scored rows
         full = random_discrete_dataset(seed)
         ds = full.subset(np.arange(0, len(full), 2))
-        score_fn = {"ig": info_gain, "gainratio": gain_ratio, "su": symmetrical_uncertainty}
         expected = {
-            i: float(score_fn[scorer](ds.column(i), ds.labels))
+            i: TABLE_SCORERS[scorer](ContingencyTable.from_columns(ds.column(i), ds.labels))
             for i in range(1, len(ds.schema) + 1)
         }
         ranked = dict(rank_threshold(ds, scorer, 0.0).entries)
@@ -560,20 +645,22 @@ class TestRankThreshold:
         # absent; constant columns and a single class are drawn too
         ds = full.subset(np.arange(0, len(full), step))
         features = list(range(1, len(ds.schema) + 1))
-        table_score = {
-            "ig": select._ig_from_table,
-            "gainratio": select._gain_ratio_from_table,
-            "su": select._su_from_table,
-        }[scorer]
         expected = [
-            table_score(
+            TABLE_SCORERS[scorer](
                 ContingencyTable.from_codes(
                     ds.codes[i - 1], len(ds.vocabs[i - 1]), ds.label_codes, len(ds.label_vocab)
                 )
             ).hex()
             for i in features
         ]
-        assert [s.hex() for s in select._class_scores(ds, features, scorer)] == expected
+        got = select._class_scores(
+            [ds.codes[i - 1] for i in features],
+            [len(ds.vocabs[i - 1]) for i in features],
+            ds.label_codes,
+            len(ds.label_vocab),
+            scorer,
+        )
+        assert [s.hex() for s in got] == expected
 
     def test_gainratio_and_su_scorers_run(self):
         ds = planted_dataset(0)

@@ -8,6 +8,7 @@ import ast
 import dataclasses
 import importlib.util
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from idspipe import classify, cli, data, discretize, evaluate, pipeline, select
 from idspipe.config import ClassifierConfig, CrossValConfig, ExperimentConfig, PipelineConfig
 from idspipe.data import CONTINUOUS, DISCRETE, stratified_folds
 
-from conftest import toy_dataset
+from conftest import cross_validate, toy_dataset
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 PACKAGE = Path(idspipe.__file__).resolve().parent
@@ -148,7 +149,7 @@ def test_cv_forks_one_worker_per_usable_cpu(monkeypatch, cpus, k):
     monkeypatch.setattr(evaluate, "usable_cpus", lambda: cpus)
     monkeypatch.setattr(os, "fork", counted_fork)
     ds = four_column_dataset()
-    report = evaluate.cross_validate(ds, ExperimentConfig(discretization="fold-safe"), k=k, seed=0)
+    report = cross_validate(ds, ExperimentConfig(discretization="fold-safe"), k=k, seed=0)
     assert report.matrix.total == len(ds)
     assert len(forks) == min(k, cpus) - 1
 
@@ -173,7 +174,7 @@ def test_fold_safe_cv_codes_each_column_once(monkeypatch):
     ds = four_column_dataset()
     config = ExperimentConfig(discretization="fold-safe", classifier=ClassifierConfig(rounds=3))
     k = 5
-    report = evaluate.cross_validate(ds, config, k=k, seed=0)
+    report = cross_validate(ds, config, k=k, seed=0)
     assert report.matrix.total == len(ds)
     # once per column and once for the labels, when the dataset was built
     assert len(calls) == len(ds.schema) + 1
@@ -212,6 +213,56 @@ def test_fits_and_correlations_run_batched_kernels(monkeypatch):
     pairs = [frozenset((i, j)) for i, js in fills for j in js]
     assert sorted(map(sorted, set(pairs))) == [[i, j] for i in range(1, 5) for j in range(i + 1, 5)]
     assert len(pairs) == len(set(pairs))  # each pair computed once
+
+
+def test_measures_run_the_shipped_kernels(monkeypatch):
+    # the public measures that acceptance criterion 1 checks are the kernel
+    # the selectors run, not a second implementation of each measure
+    calls = []
+    count_calls(monkeypatch, select, "_class_scores", calls)
+    x, y = ["0", "0", "1", "1"], ["a", "b", "a", "a"]
+    for measure in (select.info_gain, select.gain_ratio, select.symmetrical_uncertainty):
+        calls.clear()
+        measure(x, y)
+        assert calls == ["_class_scores"]
+
+    # a hybrid fit builds one cache, whose feature-class row is the kernel's
+    # SU, and ranks once by the kernel's information gain
+    count_calls(monkeypatch, select, "rank_threshold", calls)
+
+    class CountedCache(select.CorrelationCache):
+        def __init__(self, ds):
+            calls.append("CorrelationCache")
+            super().__init__(ds)
+
+    monkeypatch.setattr(select, "CorrelationCache", CountedCache)
+    raw = four_column_dataset()
+    binned = discretize.apply_discretizer(discretize.fit_discretizer(raw), raw)
+    calls.clear()
+    select.run_selection(binned, "hybrid", 0.3)
+    assert calls == ["CorrelationCache", "_class_scores", "rank_threshold", "_class_scores"]
+
+
+def test_a_failing_property_shows_its_falsifying_example(tmp_path):
+    # with filterwarnings = error, a deprecation warning raised in the
+    # hypothesis plugin's report hook ends the session with INTERNALERROR,
+    # hiding the example and every later test
+    (tmp_path / "test_property.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 10\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(PERFBENCH.parent / "pyproject.toml"), "--rootdir", str(tmp_path),
+         str(tmp_path / "test_property.py")],
+        capture_output=True, text=True, cwd=tmp_path, timeout=120,
+    )
+    output = result.stdout + result.stderr
+    assert result.returncode == 1, output
+    assert "Falsifying example" in output
+    assert "INTERNALERROR" not in output
 
 
 def test_a_run_encodes_each_column_once(monkeypatch, synth_file, tmp_path):
