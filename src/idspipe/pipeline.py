@@ -174,6 +174,7 @@ def load_model_payload(payload: dict):
 
 def run_experiment(config: PipelineConfig) -> EvaluationReport:
     """Execute ingest -> sample -> label-map -> CV evaluation -> artifacts."""
+    _write(Path(config.output_dir), {})  # an unusable output directory fails before any work
     ds, manifest = _sample(config.sample, _ingest(config.input_path))
     ds = _map(config, ds)
     return _experiment(config, ds, manifest)

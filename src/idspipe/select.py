@@ -7,11 +7,15 @@ intercorrelation, both measured as symmetrical uncertainty). Greedy-forward
 and best-first searches optimize merit; the hybrid selector unions the
 greedy CFS subset with top information-gain features drawn from the rest.
 
-Each measure has one implementation. :func:`_class_scores` scores features
-against the class, for the rankers, the correlation cache and the public
-column scorers (:func:`info_gain`, :func:`gain_ratio`,
-:func:`symmetrical_uncertainty`, which code their two columns and call it);
-``CorrelationCache._su_row`` computes the feature-feature correlations.
+Each measure has one implementation. :func:`_su_scores` computes every
+symmetrical uncertainty: the correlation cache's feature-feature rows and
+its feature-class row (the class is one more coded column), the ``su``
+ranker and :func:`symmetrical_uncertainty`. :func:`_class_scores` computes
+information gain and gain ratio. Both take their entropies from one
+:func:`_entropies` pass over every column's value counts. The public column
+scorers (:func:`info_gain`, :func:`gain_ratio`,
+:func:`symmetrical_uncertainty`) code their two columns and call the same
+kernels as the selectors.
 
 Feature indices are 1-based relative to the dataset schema. Ties always
 break toward the smallest feature index.
@@ -28,7 +32,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .data import Dataset, check_discrete, encode, json_text
-from .discretize import entropy, segment_entropies
+from .discretize import segment_entropies
 
 SELECTION_METHODS = (
     "cfs-greedy",
@@ -42,66 +46,50 @@ SELECTION_METHODS = (
 BEST_FIRST_STALE_LIMIT = 5
 
 
-def _su_value(ha: float, hb: float, h_joint: float) -> float:
-    """2*(H(A)+H(B)-H(A,B))/(H(A)+H(B)), clamped to [0, 1]."""
-    su = 2.0 * (ha + hb - h_joint) / (ha + hb)
-    return min(1.0, max(0.0, su))
-
-
 # Scorers of a (feature value, class) table: information gain, gain ratio and
 # symmetrical uncertainty.
 _SCORERS = ("ig", "gainratio", "su")
 
 
-def _class_scores(codes, cards, label_codes: np.ndarray, ncls: int, scorer: str) -> list[float]:
-    """``scorer`` of each feature's (value, class) table.
+def _entropies(counts: np.ndarray, cards, n: int) -> np.ndarray:
+    """Entropy of each column: ``counts`` holds ``cards[f]`` value counts for column f.
 
-    Feature f takes the codes ``codes[f]`` over ``cards[f]`` values, and
-    the records' classes are ``label_codes`` over ``ncls`` classes. This is
-    the one implementation of each measure: the selectors, the correlation
-    cache's feature-class row and the public column scorers all call it.
-
-    Each table's row, marginal and cell entropies come from one
-    :func:`segment_entropies` call each, which sums every entropy's terms
-    as :func:`entropy` does. H(Y|X) weights each value's class entropy by
-    its share of the records and adds the values' terms left to right from
-    0.0, in value order. SU sums a table's positive counts in ascending
-    order, so it is bit-identical under transposing the table. A constant
-    feature scores 0 by gain ratio and SU, and so does every feature by SU
-    when there is one class.
+    Each column's counts follow those of the columns before it and sum to
+    ``n``. One :func:`segment_entropies` call over the positive counts, so
+    each result equals :func:`entropy` of its column's counts.
     """
-    if not codes:
-        return []
-    n = len(label_codes)
-    if n == 0:
-        raise ValueError("contingency table is empty")
+    positive = counts > 0
+    lengths = np.bincount(np.repeat(np.arange(len(cards)), cards)[positive], minlength=len(cards))
+    return segment_entropies(counts[positive].astype(float), lengths, n)
+
+
+def _column_entropies(codes, cards) -> np.ndarray:
+    """:func:`_entropies` of the code arrays ``codes`` over ``cards`` values each."""
+    counts = np.concatenate([np.bincount(c, minlength=k) for c, k in zip(codes, cards)])
+    return _entropies(counts, cards, len(codes[0]))
+
+
+def _class_scores(codes, cards, yc: np.ndarray, ny: int, scorer: str) -> list[float]:
+    """Information gain or gain ratio (``scorer``) of each feature's (value, class) table.
+
+    Feature f takes the codes ``codes[f]`` over ``cards[f]`` values, and the
+    classes ``yc`` take ``ny`` values. H(X) and H(Y) come from one
+    :func:`_entropies` pass over the tables' value and class counts. H(Y|X)
+    weights each value's class entropy by its share of the records and adds
+    them left to right from 0.0, in value order. A constant feature has gain
+    ratio 0.
+    """
+    n = len(yc)
     # every table's rows stacked, each row a (value, class) count vector
     joint = np.concatenate(
-        [
-            np.bincount(c * ncls + label_codes, minlength=card * ncls)
-            for c, card in zip(codes, cards)
-        ]
-    ).reshape(-1, ncls)
-    table = np.repeat(np.arange(len(codes)), cards)  # the table of each row
-    hy = entropy(np.bincount(label_codes, minlength=ncls))
+        [np.bincount(c * ny + yc, minlength=card * ny) for c, card in zip(codes, cards)]
+    ).reshape(-1, ny)
     totals = joint.sum(axis=1)
+    class_counts = joint[: cards[0]].sum(axis=0)
+    *hx, hy = _entropies(np.concatenate([totals, class_counts]), [*cards, ny], n).tolist()
     live = totals > 0  # rows of values some record takes
-    n_live = np.bincount(table[live], minlength=len(codes))
+    n_live = np.bincount(np.repeat(np.arange(len(codes)), cards)[live], minlength=len(codes))
     live_totals = totals[live].astype(float)
-    hx = segment_entropies(live_totals, n_live, n).tolist()  # H(X) of each table
-    if scorer == "su":
-        # each table's positive counts in ascending order: one sort of
-        # (table, count) keys
-        cell_rows, cell_cols = np.nonzero(joint)
-        cell_table = table[cell_rows]
-        ordered = np.sort(cell_table * (n + 1) + joint[cell_rows, cell_cols])
-        h_joint = segment_entropies(
-            (ordered % (n + 1)).astype(float), np.bincount(cell_table, minlength=len(codes)), n
-        ).tolist()
-        return [
-            0.0 if ha == 0.0 or hy == 0.0 else _su_value(ha, hy, hj)
-            for ha, hj in zip(hx, h_joint)
-        ]
     rows = joint[live].astype(float)
     positive = rows > 0
     h_rows = segment_entropies(rows[positive], positive.sum(axis=1), live_totals)
@@ -113,15 +101,75 @@ def _class_scores(codes, cards, label_codes: np.ndarray, ncls: int, scorer: str)
     return [0.0 if h == 0.0 else g / h for g, h in zip(ig, hx)]
 
 
+# Key entries counted by one bincount of _su_scores: enough records and
+# features to amortize the call, few enough that the key buffer stays at
+# 128 KiB.
+_KEY_BUDGET = 1 << 14
+
+
+def _su_scores(codes, cards, hx, yc: np.ndarray, ny: int, hy: float) -> np.ndarray:
+    """Symmetrical uncertainty of each code array in ``codes`` with ``yc``.
+
+    Column f takes the codes ``codes[f]`` over ``cards[f]`` values, with
+    entropy ``hx[f]``; ``yc`` takes ``ny`` values, with entropy ``hy``. One
+    joint count array holds every table: the cell of a record in column f's
+    table is ``yc * width + offset_f + codes[f]``, where ``offset_f`` is the
+    total card of the columns before f and ``width`` that of all. Bincounts
+    of as many columns as the key buffer holds rows fill it. Each table's
+    positive counts are summed in ascending order (one sort of ``(table,
+    count)`` keys), so SU is bit-identical under swapping the two columns.
+    SU with a constant column is 0.
+    """
+    su = np.zeros(len(codes))
+    live = np.flatnonzero(hx > 0)
+    if hy == 0.0 or not live.size:
+        return su
+    cards = cards[live]
+    width = int(cards.sum())
+    cell_base = yc * width
+    joint = np.zeros(ny * width, dtype=np.int64)
+    n = len(yc)
+    keys = np.empty((min(live.size, max(1, _KEY_BUDGET // n)), n), dtype=np.int64)
+    shifts = list(zip(live.tolist(), (np.cumsum(cards) - cards).tolist()))
+    for start in range(0, len(shifts), len(keys)):
+        batch = shifts[start : start + len(keys)]
+        rows = keys[: len(batch)]
+        for row, (f, offset) in zip(rows, batch):
+            np.add(codes[f], offset, out=row)
+        rows += cell_base
+        joint += np.bincount(rows.ravel(), minlength=joint.size)
+    cells = np.flatnonzero(joint)
+    table = np.repeat(np.arange(live.size), cards)[cells % width]
+    ordered = np.sort(table * (n + 1) + joint[cells])
+    h_joint = segment_entropies(
+        (ordered % (n + 1)).astype(float), np.bincount(table, minlength=live.size), n
+    )
+    h_sum = hx[live] + hy
+    su[live] = np.clip(2.0 * (h_sum - h_joint) / h_sum, 0.0, 1.0)  # 2*IG/(H(X)+H(Y))
+    return su
+
+
+def _scores(codes, cards, yc: np.ndarray, ny: int, scorer: str) -> list[float]:
+    """``scorer`` of each code array in ``codes`` against ``yc``."""
+    if not codes:
+        return []
+    if len(yc) == 0:
+        raise ValueError("contingency table is empty")
+    if scorer != "su":
+        return _class_scores(codes, cards, yc, ny, scorer)
+    *hx, hy = _column_entropies([*codes, yc], [*cards, ny]).tolist()
+    return _su_scores(codes, np.asarray(cards), np.array(hx), yc, ny, hy).tolist()
+
+
 def _column_score(x, y, scorer: str) -> float:
-    """``scorer`` of raw column ``x`` against raw column ``y``, by :func:`_class_scores`."""
+    """``scorer`` of raw column ``x`` against raw column ``y``, by :func:`_scores`."""
     xc, xv = encode(x)
     yc, yv = encode(y)
     if len(xc) != len(yc):
         raise ValueError("columns must have the same length")
     if len(xc) == 0:
         raise ValueError("columns are empty")
-    return _class_scores([xc], [len(xv)], yc, len(yv), scorer)[0]
+    return _scores([xc], [len(xv)], yc, len(yv), scorer)[0]
 
 
 def info_gain(x, y) -> float:
@@ -142,12 +190,6 @@ def symmetrical_uncertainty(a, b) -> float:
     return _column_score(a, b, "su")
 
 
-# Key entries counted by one bincount of CorrelationCache._su_row: enough
-# records and features to amortize the call, few enough that the key buffer
-# stays at 128 KiB.
-_KEY_BUDGET = 1 << 14
-
-
 class CorrelationCache:
     """Symmetrical-uncertainty correlations for one discrete dataset.
 
@@ -163,69 +205,21 @@ class CorrelationCache:
             raise ValueError("cannot correlate an empty dataset")
         self.n_features = len(ds.schema)
         self._codes = (None,) + ds.codes
-        self._cards = np.array([0] + [len(v) for v in ds.vocabs])
-        # Key rows of one bincount, rewritten by every _su_row call
-        self._keys = np.empty((max(1, _KEY_BUDGET // len(ds)), len(ds)), dtype=np.int64)
-        # Marginal entropies of the value counts, as _class_scores sums them
-        self._h = np.array(
-            [0.0]
-            + [
-                entropy(np.bincount(c, minlength=n))
-                for c, n in zip(ds.codes, self._cards[1:].tolist())
-            ]
-        )
-        class_su = _class_scores(
-            ds.codes, self._cards[1:].tolist(), ds.label_codes, len(ds.label_vocab), "su"
-        )
+        cards = [len(v) for v in ds.vocabs]
+        ncls = len(ds.label_vocab)
+        *h, hy = _column_entropies([*ds.codes, ds.label_codes], [*cards, ncls]).tolist()
+        self._cards = np.array([0, *cards])
+        self._h = np.array([0.0, *h])
+        class_su = _su_scores(ds.codes, self._cards[1:], self._h[1:], ds.label_codes, ncls, hy)
         self._class_su = np.array([0.0, *class_su])
         self._ff = np.full((self.n_features + 1, self.n_features + 1), np.nan)
         self._ff[0, :] = self._ff[:, 0] = 0.0  # no feature 0
         np.fill_diagonal(self._ff, [1.0 if h > 0 else 0.0 for h in self._h])
 
-    def _su_row(self, xc: np.ndarray, nx: int, hx: float, js: np.ndarray) -> np.ndarray:
-        """SU of the code array ``xc`` (``nx`` codes, entropy ``hx``) with each feature in ``js``.
-
-        One joint count array holds every table: the cell of a record in
-        feature j's table is ``xc * width + offset_j + code_j``, where
-        ``offset_j`` is the total card of the features before j and
-        ``width`` that of all. Bincounts of as many features as the key
-        buffer holds rows fill it. Each table's positive counts are then
-        sorted (one sort of ``(table, count)`` keys) and summed as
-        ``entropy`` sums them; the counts of a table add up to the record
-        count.
-        """
-        su = np.zeros(len(js))
-        live = np.flatnonzero(self._h[js] > 0)
-        if hx == 0.0 or not live.size:
-            return su  # SU with a constant column is 0
-        features = js[live]
-        cards = self._cards[features]
-        width = int(cards.sum())
-        cell_base = xc * width
-        joint = np.zeros(nx * width, dtype=np.int64)
-        shifts = list(zip(features.tolist(), (np.cumsum(cards) - cards).tolist()))
-        for start in range(0, len(shifts), len(self._keys)):
-            batch = shifts[start : start + len(self._keys)]
-            keys = self._keys[: len(batch)]
-            for row, (j, offset) in zip(keys, batch):
-                np.add(self._codes[j], offset, out=row)
-            keys += cell_base
-            joint += np.bincount(keys.ravel(), minlength=joint.size)
-        cells = np.flatnonzero(joint)
-        table = np.repeat(np.arange(len(features)), cards)[cells % width]
-        n = len(xc)
-        ordered = np.sort(table * (n + 1) + joint[cells])
-        h_joint = segment_entropies(
-            (ordered % (n + 1)).astype(float), np.bincount(table, minlength=len(features)), n
-        )
-        su[live] = [
-            _su_value(hx, hj, h) for hj, h in zip(self._h[features].tolist(), h_joint.tolist())
-        ]
-        return su
-
     def _fill(self, i: int, js: np.ndarray) -> None:
-        su = self._su_row(self._codes[i], int(self._cards[i]), float(self._h[i]), js)
-        self._ff[i, js] = self._ff[js, i] = su
+        codes = [self._codes[j] for j in js.tolist()]
+        row = (self._codes[i], self._cards[i], self._h[i])
+        self._ff[i, js] = self._ff[js, i] = _su_scores(codes, self._cards[js], self._h[js], *row)
 
     def feature_class(self, i: int) -> float:
         return float(self._class_su[i])
@@ -422,7 +416,7 @@ def rank_threshold(
         if include is not None
         else list(range(1, len(ds.schema) + 1))
     )
-    scores = _class_scores(
+    scores = _scores(
         [ds.codes[i - 1] for i in considered],
         [len(ds.vocabs[i - 1]) for i in considered],
         ds.label_codes,

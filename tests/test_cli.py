@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import idspipe
-from idspipe import cli
+from idspipe import cli, pipeline
 from idspipe.cli import main
 from idspipe.config import PipelineConfig, SampleConfig
 from idspipe.data import CONTINUOUS, NSLKDD_SCHEMA, parse_records, read_dataset, sample_indices
@@ -185,10 +185,15 @@ class TestStageFailures:
         ],
     )
     def test_data_error_names_its_stage(
-        self, small_synth, raw_csv, tmp_path, capsys, args, stage
+        self, small_synth, raw_csv, tmp_path, capsys, monkeypatch, args, stage
     ):
         bad = tmp_path / "bad.txt"  # neither a record file nor JSON
         bad.write_text("1,2,3\n")
+        parsed = []
+        parse = pipeline.parse_records
+        monkeypatch.setattr(
+            pipeline, "parse_records", lambda *a, **kw: parsed.append(1) or parse(*a, **kw)
+        )
         capsys.readouterr()
         fields = {"bad": bad, "synth": small_synth, "raw": raw_csv, "tmp": tmp_path}
         code = run_cli(*[a.format(**fields) for a in args])
@@ -196,6 +201,8 @@ class TestStageFailures:
         assert code == 2
         assert err.startswith(f"error: stage {stage}: ")
         assert len(err.strip().splitlines()) == 1
+        if stage == "write":
+            assert parsed == []  # an unusable output directory fails before ingest
 
     @pytest.mark.parametrize(
         "payload, named",

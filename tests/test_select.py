@@ -62,9 +62,10 @@ def oracle_su(a, b):
 
 # --- table oracle: one (value, class) contingency table per measure --------
 #
-# The shipped kernels (select._class_scores and CorrelationCache._su_row)
-# score many tables at once; these score one table at a time with one
-# entropy() call per row, and must agree with the kernels bit for bit.
+# The shipped kernels (select._su_scores for symmetrical uncertainty,
+# select._class_scores for information gain and gain ratio) score many
+# tables at once; these score one table at a time with one entropy() call
+# per row, and must agree with the kernels bit for bit.
 
 @dataclass(eq=False)
 class ContingencyTable:
@@ -254,11 +255,21 @@ def wide_discrete_datasets(draw):
 
 
 @st.composite
-def redundant_discrete_datasets(draw):
-    """Wide discrete datasets with constant and duplicated columns."""
+def redundant_discrete_datasets(draw, classes=None):
+    """Wide discrete datasets with constant and duplicated columns.
+
+    With ``classes``, each of that many classes labels at least one record.
+    """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n = draw(st.integers(1, 300))
-    labels = [f"c{v}" for v in rng.integers(0, draw(st.integers(1, 12)), size=n)]
+    if classes is None:
+        n = draw(st.integers(1, 300))
+        label_codes = rng.integers(0, draw(st.integers(1, 12)), size=n)
+    else:
+        n = draw(st.integers(classes, 300))
+        label_codes = rng.permutation(
+            np.concatenate([np.arange(classes), rng.integers(0, classes, size=n - classes)])
+        )
+    labels = [f"c{v}" for v in label_codes]
     columns = []
     for _ in range(draw(st.integers(1, 9))):
         kind = draw(st.sampled_from(["random", "constant", "duplicate"]))
@@ -289,29 +300,30 @@ class TestCorrelationCache:
     @settings(max_examples=100, deadline=None)
     def test_row_fills_in_any_order_bit_identical(self, ds, data):
         # rows filled by su_arrays, in batches of 1 to all features per
-        # bincount, between single entries filled before and after
+        # bincount (the budget holds for every fill), between single entries
+        # filled before and after
         n = len(ds.schema)
         budget = data.draw(st.sampled_from([1, len(ds), 3 * len(ds), 1 << 14]))
         with mock.patch.object(select, "_KEY_BUDGET", budget):
             cache = CorrelationCache(ds)
-        pairs = st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=4)
-        for i, j in data.draw(pairs):
-            cache.feature_feature(i, j)
-        order = data.draw(st.permutations(range(1, n + 1)))
-        cuts = sorted(data.draw(st.sets(st.integers(1, n), max_size=3)) | {n})
-        for members in (order[a:b] for a, b in zip([0, *cuts], cuts)):
-            class_su, table = cache.su_arrays(members)
-            assert not np.isnan(table[members]).any()
-        for i, j in data.draw(pairs):
-            cache.feature_feature(i, j)
-        for i in range(1, n + 1):
-            expected = table_su_of_columns(ds.column(i), ds.labels)
-            assert float(class_su[i]).hex() == expected.hex()
-            for j in range(1, n + 1):
-                if j != i:
-                    expected = table_su_of_columns(ds.column(i), ds.column(j))
-                    assert float(table[i, j]).hex() == expected.hex()
-                    assert cache.feature_feature(i, j).hex() == expected.hex()
+            pairs = st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=4)
+            for i, j in data.draw(pairs):
+                cache.feature_feature(i, j)
+            order = data.draw(st.permutations(range(1, n + 1)))
+            cuts = sorted(data.draw(st.sets(st.integers(1, n), max_size=3)) | {n})
+            for members in (order[a:b] for a, b in zip([0, *cuts], cuts)):
+                class_su, table = cache.su_arrays(members)
+                assert not np.isnan(table[members]).any()
+            for i, j in data.draw(pairs):
+                cache.feature_feature(i, j)
+            for i in range(1, n + 1):
+                expected = table_su_of_columns(ds.column(i), ds.labels)
+                assert float(class_su[i]).hex() == expected.hex()
+                for j in range(1, n + 1):
+                    if j != i:
+                        expected = table_su_of_columns(ds.column(i), ds.column(j))
+                        assert float(table[i, j]).hex() == expected.hex()
+                        assert cache.feature_feature(i, j).hex() == expected.hex()
 
 
 class TestCfsMerit:
@@ -635,11 +647,12 @@ class TestRankThreshold:
         assert ranked == (expected if max(expected.values()) > 0.0 else {})
 
     @given(
-        full=redundant_discrete_datasets(),
+        # any class count up to 12, or exactly 1, 5 (category5) or 23 (attack23)
+        full=st.sampled_from([None, 1, 5, 23]).flatmap(redundant_discrete_datasets),
         scorer=st.sampled_from(["ig", "gainratio", "su"]),
         step=st.integers(1, 3),
     )
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=200, deadline=None)
     def test_batched_scores_hex_equal_table_scores(self, full, scorer, step):
         # every step-th record, so some values (empty rows) and classes are
         # absent; constant columns and a single class are drawn too
@@ -653,7 +666,7 @@ class TestRankThreshold:
             ).hex()
             for i in features
         ]
-        got = select._class_scores(
+        got = select._scores(
             [ds.codes[i - 1] for i in features],
             [len(ds.vocabs[i - 1]) for i in features],
             ds.label_codes,

@@ -216,31 +216,81 @@ def test_fits_and_correlations_run_batched_kernels(monkeypatch):
 
 
 def test_measures_run_the_shipped_kernels(monkeypatch):
-    # the public measures that acceptance criterion 1 checks are the kernel
-    # the selectors run, not a second implementation of each measure
+    # the public measures that acceptance criterion 1 checks are the kernels
+    # the selectors run: SU through _su_scores, information gain and gain
+    # ratio through _class_scores, each with its entropies from one pass
     calls = []
-    count_calls(monkeypatch, select, "_class_scores", calls)
-    x, y = ["0", "0", "1", "1"], ["a", "b", "a", "a"]
-    for measure in (select.info_gain, select.gain_ratio, select.symmetrical_uncertainty):
+    for name in ("_entropies", "_su_scores", "_class_scores", "rank_threshold"):
+        count_calls(monkeypatch, select, name, calls)
+    count_calls(monkeypatch, discretize, "entropy", calls)
+    kernels = {
+        "ig": ["_class_scores", "_entropies"],
+        "gainratio": ["_class_scores", "_entropies"],
+        "su": ["_entropies", "_su_scores"],
+    }
+    measures = {"ig": select.info_gain, "gainratio": select.gain_ratio,
+                "su": select.symmetrical_uncertainty}
+    raw = four_column_dataset()
+    binned = discretize.apply_discretizer(discretize.fit_discretizer(raw), raw)
+    for scorer, kernel in kernels.items():
         calls.clear()
-        measure(x, y)
-        assert calls == ["_class_scores"]
+        measures[scorer](["0", "0", "1", "1"], ["a", "b", "a", "a"])
+        assert calls == kernel
+        calls.clear()
+        select.rank_threshold(binned, scorer, 0.3)
+        assert calls == ["rank_threshold", *kernel]
 
-    # a hybrid fit builds one cache, whose feature-class row is the kernel's
-    # SU, and ranks once by the kernel's information gain
-    count_calls(monkeypatch, select, "rank_threshold", calls)
+    # a cache build takes every entropy from one pass, none from entropy(),
+    # and its feature-class row from one SU kernel call
+    calls.clear()
+    cache = select.CorrelationCache(binned)
+    assert calls == ["_entropies", "_su_scores"]
+    calls.clear()
+    cache.su_arrays(range(1, 5))
+    assert set(calls) == {"_su_scores"}
 
+    # a hybrid fit builds one cache, fills the greedy search's rows through
+    # the SU kernel and ranks once by information gain
     class CountedCache(select.CorrelationCache):
         def __init__(self, ds):
             calls.append("CorrelationCache")
             super().__init__(ds)
 
     monkeypatch.setattr(select, "CorrelationCache", CountedCache)
-    raw = four_column_dataset()
-    binned = discretize.apply_discretizer(discretize.fit_discretizer(raw), raw)
     calls.clear()
     select.run_selection(binned, "hybrid", 0.3)
-    assert calls == ["CorrelationCache", "_class_scores", "rank_threshold", "_class_scores"]
+    head, rows, tail = calls[:3], calls[3:-3], calls[-3:]
+    assert head == ["CorrelationCache", "_entropies", "_su_scores"]
+    assert rows and set(rows) == {"_su_scores"}
+    assert tail == ["rank_threshold", *kernels["ig"]]
+
+
+def test_private_names_are_used_in_the_package():
+    # a private module-level name that nothing in src/ reads is dead code
+    # or a test helper left behind
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        read |= used_names(tree)
+        read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    defined = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                targets = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = [
+                    t.id
+                    for t in ast.walk(node)
+                    if isinstance(t, ast.Name) and isinstance(t.ctx, ast.Store)
+                ]
+            else:
+                continue
+            defined += [
+                f"{name}:{t}" for t in targets if t.startswith("_") and not t.startswith("__")
+            ]
+    assert len(defined) > 40
+    assert [d for d in defined if d.split(":")[1] not in read] == []
 
 
 def test_a_failing_property_shows_its_falsifying_example(tmp_path):
