@@ -3,6 +3,10 @@
 Exit codes: 0 success, 1 usage error, 2 data error, 3 internal invariant
 violation. Set IDSPIPE_DATA to a directory to resolve relative input paths
 against it.
+
+Only ``config`` and ``errors`` are imported here; each command imports the
+stage modules it runs once its flags are validated, so ``--help`` and a usage
+error never load numpy.
 """
 
 from __future__ import annotations
@@ -16,17 +20,19 @@ from typing import NoReturn
 
 import click
 
-from . import classify, data, discretize, pipeline, select
 from .config import (
+    ATTACK23,
+    CATEGORY5,
     DEFAULT_HYBRID_ALPHA,
+    DISCRETIZATION_MODES,
+    GRANULARITIES,
+    SELECTION_METHODS,
     ClassifierConfig,
     PipelineConfig,
     SampleConfig,
     SelectionConfig,
 )
-from .errors import DataError, StageError
-from .evaluate import build_report
-from .pipeline import load_model_payload, model_json, reproduce_tables, run_experiment
+from .errors import DataError, StageError, _stage
 
 
 def _resolve_input(path: str) -> str:
@@ -59,8 +65,8 @@ def cli():
 @click.option("--out", required=True, help="Output dataset CSV path.")
 @click.option(
     "--granularity",
-    type=click.Choice(data.GRANULARITIES),
-    default=data.ATTACK23,
+    type=click.Choice(GRANULARITIES),
+    default=ATTACK23,
     show_default=True,
 )
 @click.option(
@@ -69,9 +75,11 @@ def cli():
     help="Distribution-match before output: 'reference' or a JSON counts file.",
 )
 @click.option("--sample-seed", type=click.IntRange(min=0), default=0, show_default=True)
-@pipeline._stage("ingest")
+@_stage("ingest")
 def ingest(input_path, out, granularity, sample, sample_seed):
     """Parse a 42/43-field record file into a validated dataset CSV."""
+    from . import data, pipeline
+
     ds = pipeline._ingest(_resolve_input(input_path))
     ds, manifest = pipeline._sample(
         SampleConfig(target=sample, seed=sample_seed) if sample else None, ds
@@ -80,8 +88,8 @@ def ingest(input_path, out, granularity, sample, sample_seed):
         manifest_path = Path(out).with_name(Path(out).name + ".manifest.json")
         manifest_path.parent.mkdir(parents=True, exist_ok=True)
         manifest_path.write_text(data.json_line(manifest))
-    if granularity == data.CATEGORY5:
-        ds = data.map_labels(ds, data.CATEGORY5)
+    if granularity == CATEGORY5:
+        ds = data.map_labels(ds, CATEGORY5)
     data.write_dataset(ds, out)
     click.echo(f"wrote {len(ds)} records to {out}")
 
@@ -89,9 +97,11 @@ def ingest(input_path, out, granularity, sample, sample_seed):
 @cli.command("discretize")
 @click.argument("dataset_path")
 @click.option("--out", required=True, help="Output directory.")
-@pipeline._stage("discretize")
+@_stage("discretize")
 def discretize_cmd(dataset_path, out):
     """Fit MDL cut points on a dataset and write the binned copy."""
+    from . import data, discretize
+
     ds = data.read_dataset(_resolve_input(dataset_path))
     model = discretize.fit_discretizer(ds)
     binned = discretize.apply_discretizer(model, ds)
@@ -106,7 +116,7 @@ def discretize_cmd(dataset_path, out):
 @click.argument("dataset_path")
 @click.option(
     "--method",
-    type=click.Choice(select.SELECTION_METHODS),
+    type=click.Choice(SELECTION_METHODS),
     default="hybrid",
     show_default=True,
 )
@@ -118,9 +128,11 @@ def discretize_cmd(dataset_path, out):
     callback=_checked_alpha,
 )
 @click.option("--out", required=True, help="Output selection JSON path.")
-@pipeline._stage("select")
+@_stage("select")
 def select_cmd(dataset_path, method, alpha, out):
     """Run one selection method on a fully discrete dataset."""
+    from . import data, select
+
     ds = data.read_dataset(_resolve_input(dataset_path))
     result = select.run_selection(ds, method, alpha)
     Path(out).parent.mkdir(parents=True, exist_ok=True)
@@ -140,9 +152,12 @@ def select_cmd(dataset_path, method, alpha, out):
     "--smoothing", type=click.FloatRange(min=0, min_open=True), default=1.0, show_default=True
 )
 @click.option("--out", required=True, help="Output model JSON path.")
-@pipeline._stage("train")
+@_stage("train")
 def train_cmd(dataset_path, selection_path, boost, rounds, smoothing, out):
     """Train the (optionally boosted) naive Bayes classifier."""
+    from . import classify, data, select
+    from .pipeline import model_json
+
     features = None
     if selection_path:
         result = data.read_json(
@@ -163,13 +178,26 @@ def train_cmd(dataset_path, selection_path, boost, rounds, smoothing, out):
 @click.argument("dataset_path")
 @click.option("--model", "model_path", required=True, help="Model JSON path.")
 @click.option("--out", required=True, help="Output report JSON path.")
-@pipeline._stage("eval")
+@_stage("eval")
 def eval_cmd(dataset_path, model_path, out):
     """Evaluate a trained model on a held-out discrete dataset."""
+    from . import classify, data
+    from .evaluate import build_report
+    from .pipeline import load_model_payload
+
     kind, model, features = data.read_json(model_path, load_model_payload, "model file")
     ds = data.read_dataset(_resolve_input(dataset_path), features)
     # a model scores bins: a raw value misses every one of them
     data.check_discrete(ds, "eval")
+    # a model of the other granularity would mix attack names and categories
+    # in one confusion matrix
+    labels, categories = set(model.labels), set(data.CATEGORIES)
+    if ds.granularity == CATEGORY5:
+        foreign = labels - {data.NORMAL, *categories}
+    else:
+        foreign = labels & categories
+    if foreign:
+        raise DataError(f"model labels {sorted(foreign)} are not {ds.granularity} labels")
     codes = classify.ensemble_predict_batch(model, ds)
     label_set = sorted(set(model.labels) | set(ds.label_set()))
     report = build_report(
@@ -221,11 +249,11 @@ def _apply_overrides(config: PipelineConfig, **kw) -> PipelineConfig:
 @cli.command("run")
 @click.option("--config", "config_path", default=None, help="Config JSON file.")
 @click.option("--input", "input_path", default=None, help="Input record file.")
-@click.option("--granularity", type=click.Choice(data.GRANULARITIES), default=None)
+@click.option("--granularity", type=click.Choice(GRANULARITIES), default=None)
 @click.option(
-    "--discretization", type=click.Choice(("leaky", "fold-safe")), default=None
+    "--discretization", type=click.Choice(DISCRETIZATION_MODES), default=None
 )
-@click.option("--method", type=click.Choice(select.SELECTION_METHODS), default=None)
+@click.option("--method", type=click.Choice(SELECTION_METHODS), default=None)
 @click.option("--alpha", type=float, default=None)
 @click.option("--boost/--no-boost", "boost", default=None)
 @click.option("--rounds", type=int, default=None)
@@ -253,6 +281,8 @@ def run_cmd(config_path, **kw):
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
     config = dataclasses.replace(config, input_path=_resolve_input(config.input_path))
+    from .pipeline import run_experiment
+
     report = run_experiment(config)
     click.echo(report.format_table())
     click.echo(f"artifacts in {config.output_dir}")
@@ -279,6 +309,8 @@ def run_cmd(config_path, **kw):
 )
 def reproduce_tables_cmd(input_path, out, seed, rounds, alpha, k, sample):
     """Run the full selector-comparison grids at both granularities."""
+    from .pipeline import reproduce_tables
+
     written = reproduce_tables(
         _resolve_input(input_path),
         out,

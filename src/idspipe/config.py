@@ -2,6 +2,8 @@
 
 A config file is a JSON object whose keys mirror these dataclasses; every
 CLI flag overrides exactly one key. See README for the documented schema.
+This module also owns the option vocabularies, and imports no other idspipe
+module at module level, so the CLI can declare its options from it alone.
 """
 
 from __future__ import annotations
@@ -11,8 +13,18 @@ import math
 from dataclasses import asdict, dataclass, field, fields
 from typing import Mapping
 
-from .data import ATTACK23, GRANULARITIES, json_text
-from .select import SELECTION_METHODS
+ATTACK23 = "attack23"
+CATEGORY5 = "category5"
+GRANULARITIES = (ATTACK23, CATEGORY5)
+
+SELECTION_METHODS = (
+    "cfs-greedy",
+    "cfs-bestfirst",
+    "ig",
+    "gainratio",
+    "correlation",
+    "hybrid",
+)
 
 DISCRETIZATION_MODES = ("leaky", "fold-safe")
 
@@ -120,6 +132,8 @@ class PipelineConfig:
         return payload
 
     def to_json(self) -> str:
+        from .data import json_text
+
         return json_text(self.to_payload())
 
     @classmethod

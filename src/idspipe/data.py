@@ -16,14 +16,11 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
+from .config import ATTACK23, CATEGORY5, GRANULARITIES
 from .errors import DataError, ParseError, SamplingError, SchemaError, UnknownLabelError
 
 CONTINUOUS = "continuous"
 DISCRETE = "discrete"
-
-ATTACK23 = "attack23"
-CATEGORY5 = "category5"
-GRANULARITIES = (ATTACK23, CATEGORY5)
 
 NORMAL = "normal"
 CATEGORIES = ("Dos", "Probe", "R2L", "U2R")

@@ -4,6 +4,8 @@ Exit-code mapping used by the CLI: usage errors exit 1, ``DataError`` (and
 OS-level file problems) exit 2, anything else exits 3 as an internal fault.
 """
 
+import functools
+
 
 class DataError(Exception):
     """Invalid or inconsistent input data."""
@@ -35,3 +37,23 @@ class StageError(Exception):
 
     def __str__(self) -> str:
         return f"stage {self.stage}: {super().__str__()}"
+
+
+def _stage(name: str):
+    """Decorator mapping stage failures onto StageError with exit codes."""
+
+    def wrap(fn):
+        @functools.wraps(fn)
+        def inner(*args, **kwargs):
+            try:
+                return fn(*args, **kwargs)
+            except StageError:
+                raise
+            except (DataError, OSError, ValueError) as exc:
+                raise StageError(name, str(exc), exit_code=2) from exc
+            except Exception as exc:  # invariant violations and the like
+                raise StageError(name, str(exc), exit_code=3) from exc
+
+        return inner
+
+    return wrap

@@ -13,12 +13,14 @@ import os
 import pickle
 import warnings
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from . import classify, discretize, select
 from .data import Dataset, FoldPlan, json_text
+
+if TYPE_CHECKING:
+    from .select import Preprocessing
 
 
 @dataclass(eq=False)
@@ -193,35 +195,6 @@ def build_report(truths, preds, labels: Sequence[str], descriptor: dict) -> Eval
     return EvaluationReport(matrix, per_class, aggregate(per_class), descriptor)
 
 
-class Preprocessing(NamedTuple):
-    """Discretizer and selection fitted on one dataset, and its reduced form."""
-
-    discretizer: discretize.DiscretizationModel
-    selection: select.SelectionResult
-    reduced: Dataset  # discretized, projected onto the selected features
-
-    def transform(self, ds: Dataset) -> Dataset:
-        """Discretize ``ds``, then project it onto the selected features."""
-        binned = discretize.apply_discretizer(self.discretizer, ds)
-        return binned.project(self.selection.subset.indices)
-
-
-def fit_preprocessing(ds: Dataset, config) -> Preprocessing:
-    """Fit the configured discretizer, then the selection, on ``ds``."""
-    dmodel = discretize.fit_discretizer(ds)
-    dds = discretize.apply_discretizer(dmodel, ds)
-    selection = select.run_selection(dds, config.selection.method, config.selection.alpha)
-    return Preprocessing(dmodel, selection, dds.project(selection.subset.indices))
-
-
-def _fit_predict(
-    train: Dataset, test: Dataset, label_set: Sequence[str], classifier
-) -> np.ndarray:
-    """Class index (into ``label_set``) predicted for every test record."""
-    model = classify.train_classifier(train, classifier, label_set=label_set)
-    return classify.ensemble_predict_batch(model, test)
-
-
 def usable_cpus() -> int:
     """CPUs this process may run on; 1 where the platform cannot fork."""
     if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
@@ -363,10 +336,20 @@ def cross_validate_plan(
     model that never saw it (up to the declared leakage mode).
 
     In leaky mode ``fitted`` is the preprocessing already fitted on ``ds``
-    by :func:`fit_preprocessing`; it is fitted here when not given. The
+    by :func:`select.fit_preprocessing`; it is fitted here when not given. The
     folds run at once on the usable CPUs (:func:`_map_folds`).
     """
+    # imported before _map_folds forks its workers, so no worker imports
+    # them again
+    from . import classify
+    from .select import fit_preprocessing
+
     label_set = ds.label_set()
+
+    def fit_predict(train: Dataset, test: Dataset) -> np.ndarray:
+        """Class index (into ``label_set``) predicted for every test record."""
+        model = classify.train_classifier(train, config.classifier, label_set=label_set)
+        return classify.ensemble_predict_batch(model, test)
 
     if config.discretization == "leaky":
         if fitted is None:
@@ -374,11 +357,9 @@ def cross_validate_plan(
         _, selection, reduced = fitted
 
         def run_fold(fold):
-            preds = _fit_predict(
+            preds = fit_predict(
                 reduced.subset(plan.train_indices(fold)),
                 reduced.subset(plan.test_indices(fold)),
-                label_set,
-                config.classifier,
             )
             return preds, None
 
@@ -386,11 +367,8 @@ def cross_validate_plan(
 
         def run_fold(fold):
             fold_fit = fit_preprocessing(ds.subset(plan.train_indices(fold)), config)
-            preds = _fit_predict(
-                fold_fit.reduced,
-                fold_fit.transform(ds.subset(plan.test_indices(fold))),
-                label_set,
-                config.classifier,
+            preds = fit_predict(
+                fold_fit.reduced, fold_fit.transform(ds.subset(plan.test_indices(fold)))
             )
             return preds, list(fold_fit.selection.subset.indices)
 

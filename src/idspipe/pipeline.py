@@ -8,12 +8,12 @@ produce byte-identical files.
 
 from __future__ import annotations
 
-import functools
 from pathlib import Path
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
-from . import classify
 from .config import (
+    ATTACK23,
+    CATEGORY5,
     DEFAULT_HYBRID_ALPHA,
     ClassifierConfig,
     CrossValConfig,
@@ -23,8 +23,6 @@ from .config import (
     SelectionConfig,
 )
 from .data import (
-    ATTACK23,
-    CATEGORY5,
     Dataset,
     json_line,
     json_text,
@@ -35,28 +33,11 @@ from .data import (
     sample_indices,
     stratified_folds,
 )
-from .errors import DataError, StageError
-from .evaluate import EvaluationReport, cross_validate_plan, fit_preprocessing
+from .errors import DataError, StageError, _stage
 
-
-def _stage(name: str):
-    """Decorator mapping stage failures onto StageError with exit codes."""
-
-    def wrap(fn):
-        @functools.wraps(fn)
-        def inner(*args, **kwargs):
-            try:
-                return fn(*args, **kwargs)
-            except StageError:
-                raise
-            except (DataError, OSError, ValueError) as exc:
-                raise StageError(name, str(exc), exit_code=2) from exc
-            except Exception as exc:  # invariant violations and the like
-                raise StageError(name, str(exc), exit_code=3) from exc
-
-        return inner
-
-    return wrap
+if TYPE_CHECKING:
+    from .classify import EnsembleModel
+    from .evaluate import EvaluationReport
 
 
 @_stage("ingest")
@@ -114,6 +95,9 @@ def _map(config: PipelineConfig, ds: Dataset) -> Dataset:
 @_stage("evaluate")
 def _evaluate(config: PipelineConfig, ds: Dataset, plan):
     """The CV report, and the full-data preprocessing when leaky CV fitted one."""
+    from .evaluate import cross_validate_plan
+    from .select import fit_preprocessing
+
     exp = config.experiment
     fitted = fit_preprocessing(ds, exp) if exp.discretization == "leaky" else None
     report = cross_validate_plan(ds, exp, plan, seed=config.cv.seed, fitted=fitted)
@@ -126,13 +110,16 @@ def _deployment_artifacts(config: PipelineConfig, ds: Dataset, fitted):
 
     ``fitted`` is the preprocessing leaky CV already fitted on ``ds``, if any.
     """
+    from .classify import train_classifier
+    from .select import fit_preprocessing
+
     if fitted is None:
         fitted = fit_preprocessing(ds, config.experiment)
-    model = classify.train_classifier(fitted.reduced, config.experiment.classifier)
+    model = train_classifier(fitted.reduced, config.experiment.classifier)
     return fitted.discretizer, fitted.selection, model
 
 
-def model_json(kind: str, model: classify.EnsembleModel, features) -> str:
+def model_json(kind: str, model: EnsembleModel, features) -> str:
     """The ``model.json`` text: classifier type, selected features, ensemble.
 
     The one writer of the format :func:`load_model_payload` reads.
@@ -153,6 +140,8 @@ def load_model_payload(payload: dict):
     payload (no ``rounds``) from before that is read as one round with vote 1.
     A missing key or a field of the wrong shape raises :class:`DataError`.
     """
+    from .classify import EnsembleModel
+
     try:
         kind = payload["type"]
         if kind not in ("nb", "adaboost-nb"):
@@ -165,7 +154,7 @@ def load_model_payload(payload: dict):
         model = payload["model"]
         if "rounds" not in model:
             model = {"labels": model["labels"], "rounds": [{"vote_weight": 1.0, "model": model}]}
-        return kind, classify.EnsembleModel.from_payload(model), [int(i) for i in features]
+        return kind, EnsembleModel.from_payload(model), [int(i) for i in features]
     except KeyError as exc:
         raise DataError(f"model.json is missing key {exc.args[0]!r}") from exc
     except TypeError as exc:

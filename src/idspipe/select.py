@@ -17,6 +17,9 @@ scorers (:func:`info_gain`, :func:`gain_ratio`,
 :func:`symmetrical_uncertainty`) code their two columns and call the same
 kernels as the selectors.
 
+:func:`fit_preprocessing` fits the discretizer, then one selection method,
+on a dataset: the preprocessing of every CV fold and of the deployment fit.
+
 Feature indices are 1-based relative to the dataset schema. Ties always
 break toward the smallest feature index.
 """
@@ -27,21 +30,13 @@ import heapq
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
+from . import discretize
+from .config import SELECTION_METHODS
 from .data import Dataset, check_discrete, encode, json_text
-from .discretize import segment_entropies
-
-SELECTION_METHODS = (
-    "cfs-greedy",
-    "cfs-bestfirst",
-    "ig",
-    "gainratio",
-    "correlation",
-    "hybrid",
-)
 
 BEST_FIRST_STALE_LIMIT = 5
 
@@ -60,7 +55,7 @@ def _entropies(counts: np.ndarray, cards, n: int) -> np.ndarray:
     """
     positive = counts > 0
     lengths = np.bincount(np.repeat(np.arange(len(cards)), cards)[positive], minlength=len(cards))
-    return segment_entropies(counts[positive].astype(float), lengths, n)
+    return discretize.segment_entropies(counts[positive].astype(float), lengths, n)
 
 
 def _column_entropies(codes, cards) -> np.ndarray:
@@ -92,7 +87,7 @@ def _class_scores(codes, cards, yc: np.ndarray, ny: int, scorer: str) -> list[fl
     live_totals = totals[live].astype(float)
     rows = joint[live].astype(float)
     positive = rows > 0
-    h_rows = segment_entropies(rows[positive], positive.sum(axis=1), live_totals)
+    h_rows = discretize.segment_entropies(rows[positive], positive.sum(axis=1), live_totals)
     weighted = ((live_totals / float(n)) * h_rows).tolist()
     ends = np.cumsum(n_live).tolist()
     ig = [hy - _sum_left_to_right(weighted[a:b]) for a, b in zip([0, *ends], ends)]
@@ -141,7 +136,7 @@ def _su_scores(codes, cards, hx, yc: np.ndarray, ny: int, hy: float) -> np.ndarr
     cells = np.flatnonzero(joint)
     table = np.repeat(np.arange(live.size), cards)[cells % width]
     ordered = np.sort(table * (n + 1) + joint[cells])
-    h_joint = segment_entropies(
+    h_joint = discretize.segment_entropies(
         (ordered % (n + 1)).astype(float), np.bincount(table, minlength=live.size), n
     )
     h_sum = hx[live] + hy
@@ -516,3 +511,24 @@ def run_selection(ds: Dataset, method: str, alpha: float) -> SelectionResult:
     ranked = rank_threshold(ds, scorer, alpha)
     subset = FeatureSubset(indices=tuple(sorted(ranked.indices)))
     return SelectionResult(method=method, alpha=alpha, subset=subset, ranking=ranked)
+
+
+class Preprocessing(NamedTuple):
+    """Discretizer and selection fitted on one dataset, and its reduced form."""
+
+    discretizer: discretize.DiscretizationModel
+    selection: SelectionResult
+    reduced: Dataset  # discretized, projected onto the selected features
+
+    def transform(self, ds: Dataset) -> Dataset:
+        """Discretize ``ds``, then project it onto the selected features."""
+        binned = discretize.apply_discretizer(self.discretizer, ds)
+        return binned.project(self.selection.subset.indices)
+
+
+def fit_preprocessing(ds: Dataset, config) -> Preprocessing:
+    """Fit the configured discretizer, then the selection, on ``ds``."""
+    dmodel = discretize.fit_discretizer(ds)
+    dds = discretize.apply_discretizer(dmodel, ds)
+    selection = run_selection(dds, config.selection.method, config.selection.alpha)
+    return Preprocessing(dmodel, selection, dds.project(selection.subset.indices))

@@ -231,6 +231,35 @@ class TestStageFailures:
         assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "model_granularity, data_granularity",
+        [("category5", "attack23"), ("attack23", "category5")],
+        ids=["category-model-on-attacks", "attack-model-on-categories"],
+    )
+    def test_eval_rejects_a_model_of_the_other_granularity(
+        self, small_synth, tmp_path, capsys, model_granularity, data_granularity
+    ):
+        # its report would mix attack names and categories in one matrix
+        binned = {}
+        for granularity in (model_granularity, data_granularity):
+            csv = tmp_path / f"{granularity}.csv"
+            assert run_cli("ingest", small_synth, "--granularity", granularity, "--out", csv) == 0
+            assert run_cli("discretize", csv, "--out", tmp_path / granularity) == 0
+            binned[granularity] = tmp_path / granularity / "discretized.csv"
+        model = tmp_path / "model.json"
+        assert run_cli("train", binned[model_granularity], "--no-boost", "--out", model) == 0
+        report = tmp_path / "r.json"
+        assert run_cli("eval", binned[model_granularity], "--model", model, "--out", report) == 0
+        report.unlink()
+        capsys.readouterr()
+        code = run_cli("eval", binned[data_granularity], "--model", model, "--out", report)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: stage eval: model labels ")
+        assert err.strip().endswith(f" are not {data_granularity} labels")
+        assert len(err.strip().splitlines()) == 1
+        assert not report.exists()
+
 
     @pytest.mark.parametrize(
         "args",

@@ -6,7 +6,9 @@ through them; a renamed or bypassed function silently zeroes a metric.
 
 import ast
 import dataclasses
+import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -21,6 +23,7 @@ from idspipe.config import ClassifierConfig, CrossValConfig, ExperimentConfig, P
 from idspipe.data import CONTINUOUS, DISCRETE, stratified_folds
 
 from conftest import cross_validate, toy_dataset
+from test_cli import fresh_python
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 PACKAGE = Path(idspipe.__file__).resolve().parent
@@ -501,15 +504,94 @@ def test_no_blas_calls():
 
 
 def test_package_exports_resolve():
-    tree = ast.parse((PACKAGE / "__init__.py").read_text())
-    exported = [
-        alias.asname or alias.name
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
+    # every public name comes from one name -> module table, on first access
+    assert len(idspipe._EXPORTS) > 30
+    assert idspipe.__all__ == sorted(idspipe._EXPORTS)
+    differ = [
+        name
+        for name, module in idspipe._EXPORTS.items()
+        if getattr(idspipe, name) is not getattr(importlib.import_module(f"idspipe.{module}"), name)
     ]
-    assert len(exported) > 30
-    assert [name for name in exported if not hasattr(idspipe, name)] == []
+    assert differ == []
+    with pytest.raises(AttributeError):
+        idspipe.no_such_name
+    code = "import idspipe, sys; print(sorted(m for m in sys.modules if 'idspipe' in m))"
+    assert fresh_python(code) == "['idspipe']\n"
+
+
+# The idspipe modules, besides cli, config and errors, that each command loads.
+COMMAND_MODULES = {
+    "ingest": {"data", "pipeline"},
+    "discretize": {"data", "discretize"},
+    "select": {"data", "discretize", "select"},
+    "train": {"data", "discretize", "select", "classify", "pipeline"},
+    "eval": {"data", "classify", "evaluate", "pipeline"},
+}
+
+
+def in_fresh_process(*commands):
+    """``[exit code, idspipe modules loaded, numpy loaded]`` after each command,
+    run in turn through ``cli.main`` in one new interpreter."""
+    code = f"""
+import json, sys
+from idspipe import cli
+seen = []
+for args in {[[str(a) for a in args] for args in commands]!r}:
+    code = cli.main(args)
+    loaded = sorted(m.split(".")[1] for m in sys.modules if m.startswith("idspipe."))
+    seen.append([code, loaded, "numpy" in sys.modules])
+print(json.dumps(seen))
+"""
+    return json.loads(fresh_python(code).splitlines()[-1])
+
+
+def test_each_command_imports_only_the_modules_it_runs(synth_file, tmp_path):
+    base = ["cli", "config", "errors"]
+    steps = [
+        ["ingest", synth_file, "--out", tmp_path / "d.csv"],
+        ["discretize", tmp_path / "d.csv", "--out", tmp_path / "disc"],
+        ["select", tmp_path / "disc" / "discretized.csv", "--out", tmp_path / "s.json"],
+        ["train", tmp_path / "disc" / "discretized.csv", "--selection", tmp_path / "s.json",
+         "--rounds", "2", "--out", tmp_path / "m.json"],
+        ["eval", tmp_path / "disc" / "discretized.csv", "--model", tmp_path / "m.json",
+         "--out", tmp_path / "r.json"],
+    ]
+    for args in steps:  # one process per command, each reading the last one's output
+        [[code, loaded, numpy]] = in_fresh_process(args)
+        assert (args[0], code, loaded, numpy) == (
+            args[0], 0, sorted(base + list(COMMAND_MODULES[args[0]])), True
+        )
+
+    # help and usage errors load no stage module and no numpy
+    helps = [["--help"]] + [[name, "--help"] for name in cli.cli.commands]
+    seen = in_fresh_process(*helps, ["run", "--input", "x", "--k", "1"])
+    assert seen == [[0, base, False]] * len(helps) + [[1, base, False]]
+
+
+def module_level_imports(tree: ast.Module) -> list[str]:
+    """Modules a file imports outside its functions; relative ones start with a dot."""
+    in_functions = {
+        id(node)
+        for function in ast.walk(tree)
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(function)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in in_functions:
+            continue
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            found.append("." * node.level + (node.module or ""))
+    return found
+
+
+@pytest.mark.parametrize("name", ["config.py", "errors.py"])
+def test_cli_option_modules_import_neither_numpy_nor_idspipe(name):
+    # cli imports these at start; each command loads the rest when it runs
+    imported = module_level_imports(ast.parse((PACKAGE / name).read_text()))
+    assert [m for m in imported if m.split(".")[0] in ("", "idspipe", "numpy")] == []
 
 
 def test_installed_command_exits_as_python_m_does():
