@@ -50,6 +50,12 @@ class NaiveBayesModel:
     _log_cond: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
+        for f, (values, table) in enumerate(zip(self.feature_values, self.cond)):
+            if len(table) != len(values) + 1:
+                raise DataError(
+                    f"naive Bayes feature {f + 1} has {len(table)} table rows for "
+                    f"{len(values)} values; it needs {len(values) + 1}"
+                )
         self._log_priors = np.log(self.priors)
         self._log_cond = tuple(np.log(c) for c in self.cond)
         if self._rows is None:
@@ -74,27 +80,22 @@ class NaiveBayesModel:
             raise SchemaError(
                 f"model has {self.n_features} features, dataset has {len(ds.schema)}"
             )
-        lookups, rows = self._rows.find(ds)
-        for f, lookup in enumerate(lookups):
-            _checked_rows(lookup, len(self.cond[f]), f)
-        return rows
+        return self._rows.find(ds)
 
     def score_rows(self, rows: Sequence[np.ndarray], n: int) -> np.ndarray:
         """Log prior plus every feature's log conditional for ``n`` records.
 
-        ``rows[f]`` holds each record's row in feature f's table and must lie
-        inside it: the code that builds row arrays checks them. Scores are
-        filled block by block, adding the features in order, so every element
-        sees the same additions as one whole-matrix pass.
+        ``rows[f]`` holds each record's row in feature f's table; a row
+        outside it raises IndexError. Scores are filled block by block, adding
+        the features in order, so every element sees the same additions as
+        one whole-matrix pass.
         """
         scores = np.empty((n, len(self.labels)))
         for start in range(0, n, SCORE_BLOCK):
             block = scores[start : start + SCORE_BLOCK]
             block[:] = self._log_priors
             for table, feature_rows in zip(self._log_cond, rows):
-                block += table.take(
-                    feature_rows[start : start + SCORE_BLOCK], axis=0, mode="clip"
-                )
+                block += table.take(feature_rows[start : start + SCORE_BLOCK], axis=0)
         return scores
 
     def to_payload(self) -> dict:
@@ -135,25 +136,16 @@ class _RowLookup:
         self.index = tuple({t: i for i, t in enumerate(texts)} for texts in self.texts)
         self._last: tuple[weakref.ref, tuple] | None = None
 
-    def find(self, ds: Dataset) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-        """Per feature: the row of every vocabulary value, and of every record."""
+    def find(self, ds: Dataset) -> tuple[np.ndarray, ...]:
+        """Per feature: the row of every record."""
         if self._last is None or self._last[0]() is not ds:
-            lookups = tuple(
-                np.asarray([index.get(str(v), len(texts)) for v in vocab], dtype=np.int64)
-                for index, texts, vocab in zip(self.index, self.texts, ds.vocabs)
-            )
-            rows = tuple(lookup[codes] for lookup, codes in zip(lookups, ds.codes))
-            for array in (*lookups, *rows):
-                array.flags.writeable = False
-            self._last = (weakref.ref(ds), (lookups, rows))
+            rows = []
+            for index, texts, vocab, codes in zip(self.index, self.texts, ds.vocabs, ds.codes):
+                row_of_code = [index.get(str(v), len(texts)) for v in vocab]
+                rows.append(np.asarray(row_of_code, dtype=np.int64)[codes])
+                rows[-1].flags.writeable = False
+            self._last = (weakref.ref(ds), tuple(rows))
         return self._last[1]
-
-
-def _checked_rows(rows: np.ndarray, n_rows: int, f: int) -> np.ndarray:
-    """``rows`` unchanged; raises if one lies outside a table of ``n_rows`` rows."""
-    if len(rows) and (rows.min() < 0 or rows.max() >= n_rows):
-        raise DataError(f"naive Bayes feature {f + 1} indexes past its {n_rows} table rows")
-    return rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,12 +176,11 @@ class _TrainingSet:
         labels = tuple(label_set) if label_set is not None else ds.label_set()
         y = ds.label_positions(labels)
         feature_values, rows = [], []
-        for f, (codes, vocab) in enumerate(zip(ds.codes, ds.vocabs)):
+        for codes, vocab in zip(ds.codes, ds.vocabs):
             # a vocabulary may hold values no record of this dataset takes
             present = np.bincount(codes, minlength=len(vocab)) > 0
             feature_values.append(tuple(compress(vocab, present)))
-            row_of_code = np.cumsum(present) - 1
-            rows.append(_checked_rows(row_of_code[codes], len(feature_values[-1]) + 1, f))
+            rows.append((np.cumsum(present) - 1)[codes])
         return cls(labels, y, tuple(feature_values), _RowLookup(feature_values), tuple(rows))
 
 

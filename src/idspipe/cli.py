@@ -11,7 +11,6 @@ error never load numpy.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import sys
@@ -211,39 +210,39 @@ def eval_cmd(dataset_path, model_path, out):
     click.echo(report.format_table())
 
 
-def _given(**values) -> dict:
-    """The flag values the user gave: those that are not None."""
-    return {k: v for k, v in values.items() if v is not None}
+# The config key each ``run`` flag sets. ``--sample`` sets sample.target, or
+# sample to null when it is ``none``; with it, ``--seed`` sets sample.seed too.
+_RUN_FLAG_KEYS = {
+    "input_path": "input_path",
+    "granularity": "granularity",
+    "discretization": "experiment.discretization",
+    "method": "experiment.selection.method",
+    "alpha": "experiment.selection.alpha",
+    "boost": "experiment.classifier.boost",
+    "rounds": "experiment.classifier.rounds",
+    "k": "cv.k",
+    "seed": "cv.seed",
+    "output_dir": "output_dir",
+}
 
 
-def _apply_overrides(config: PipelineConfig, **kw) -> PipelineConfig:
-    """``config`` with each given flag in place of the key it overrides."""
-    exp = config.experiment
-    sample = config.sample
-    if kw["sample"] is not None:
-        sample = None if kw["sample"] == "none" else dataclasses.replace(
-            sample or SampleConfig(), target=kw["sample"], **_given(seed=kw["seed"])
-        )
-    return dataclasses.replace(
-        config,
-        sample=sample,
-        experiment=dataclasses.replace(
-            exp,
-            selection=dataclasses.replace(
-                exp.selection, **_given(method=kw["method"], alpha=kw["alpha"])
-            ),
-            classifier=dataclasses.replace(
-                exp.classifier, **_given(boost=kw["boost"], rounds=kw["rounds"])
-            ),
-            **_given(discretization=kw["discretization"]),
-        ),
-        cv=dataclasses.replace(config.cv, **_given(k=kw["k"], seed=kw["seed"])),
-        **_given(
-            input_path=kw["input_path"],
-            granularity=kw["granularity"],
-            output_dir=kw["output_dir"],
-        ),
-    )
+def _run_payload(payload: dict, flags: dict) -> dict:
+    """``payload`` with each given flag in place of its key and the input resolved."""
+    given = {flag: value for flag, value in flags.items() if value is not None}
+    target = given.pop("sample", None)
+    if target == "none":
+        payload["sample"] = None
+    elif target is not None:
+        seed = {"seed": given["seed"]} if "seed" in given else {}
+        payload["sample"] = {**(payload.get("sample") or {}), "target": target, **seed}
+    for flag, value in given.items():
+        *sections, key = _RUN_FLAG_KEYS[flag].split(".")
+        section = payload
+        for name in sections:
+            section = section.setdefault(name, {})
+        section[key] = value
+    payload["input_path"] = _resolve_input(payload["input_path"])
+    return payload
 
 
 @cli.command("run")
@@ -265,22 +264,21 @@ def _apply_overrides(config: PipelineConfig, **kw) -> PipelineConfig:
     help="'reference', a JSON counts file, or 'none' to disable sampling.",
 )
 @click.option("--out", "output_dir", default=None, help="Artifact directory.")
-def run_cmd(config_path, **kw):
+def run_cmd(config_path, **flags):
     """Run the full pipeline from a config file plus flag overrides."""
     if config_path:
         try:
-            base = PipelineConfig.from_json(Path(config_path).read_text())
+            payload = PipelineConfig.from_json(Path(config_path).read_text()).to_payload()
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise click.UsageError(f"invalid config file {config_path}: {exc}") from exc
-    elif kw["input_path"]:
-        base = PipelineConfig(input_path=kw["input_path"])
+    elif flags["input_path"]:
+        payload = {}
     else:
         raise click.UsageError("provide --config or --input")
     try:
-        config = _apply_overrides(base, **kw)
+        config = PipelineConfig.from_payload(_run_payload(payload, flags))
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
-    config = dataclasses.replace(config, input_path=_resolve_input(config.input_path))
     from .pipeline import run_experiment
 
     report = run_experiment(config)

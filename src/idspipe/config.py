@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from typing import Mapping
 
 ATTACK23 = "attack23"
@@ -124,12 +124,13 @@ class PipelineConfig:
     output_dir: str = "run-artifacts"
 
     def __post_init__(self):
+        # a path-like input is held as its text, as config.json writes it
+        object.__setattr__(self, "input_path", str(self.input_path))
         if self.granularity not in GRANULARITIES:
             raise ValueError(f"granularity must be one of {GRANULARITIES}")
 
     def to_payload(self) -> dict:
-        payload = asdict(self)
-        return payload
+        return asdict(self)
 
     def to_json(self) -> str:
         from .data import json_text
@@ -138,59 +139,54 @@ class PipelineConfig:
 
     @classmethod
     def from_payload(cls, payload: Mapping) -> "PipelineConfig":
-        """Config from its JSON object; a key no dataclass field names is an error.
-
-        ``experiment.candidates`` is accepted and ignored: files written while
-        MDLP still had that option hold it.
-        """
-        data = _fields_of(cls, dict(payload))
-        if "input_path" not in data:
-            raise ValueError("missing key 'input_path'")
-        sample = data.get("sample")
-        experiment = _fields_of(
-            ExperimentConfig, data.get("experiment"), "experiment.", frozenset({"candidates"})
-        )
-        selection = _fields_of(
-            SelectionConfig, experiment.get("selection"), "experiment.selection."
-        )
-        classifier = _fields_of(
-            ClassifierConfig, experiment.get("classifier"), "experiment.classifier."
-        )
-        return cls(
-            input_path=str(data["input_path"]),
-            granularity=data.get("granularity", ATTACK23),
-            sample=(
-                None if sample is None
-                else SampleConfig(**_fields_of(SampleConfig, sample, "sample."))
-            ),
-            experiment=ExperimentConfig(
-                discretization=experiment.get("discretization", "leaky"),
-                selection=SelectionConfig(**selection),
-                classifier=ClassifierConfig(**classifier),
-            ),
-            cv=CrossValConfig(**_fields_of(CrossValConfig, data.get("cv"), "cv.")),
-            output_dir=data.get("output_dir", "run-artifacts"),
-        )
+        """Config from its JSON object; a key no dataclass field names is an error."""
+        return _build(cls, payload)
 
     @classmethod
     def from_json(cls, text: str) -> "PipelineConfig":
         payload = json.loads(text)
         # A report's descriptor embeds the resolved config; accept it too.
-        if "descriptor" in payload and "config" in payload.get("descriptor", {}):
+        if isinstance(payload, Mapping) and "config" in payload.get("descriptor", {}):
             payload = payload["descriptor"]["config"]
         return cls.from_payload(payload)
 
 
-def _fields_of(dc, payload, path: str = "", ignored: frozenset[str] = frozenset()) -> dict:
-    """The keys of a config object, less ``ignored``; a key ``dc`` lacks is an error.
+# Sections that may be null, by field name; every other section is a field
+# whose default_factory is a config dataclass.
+_OPTIONAL_SECTIONS = {"sample": SampleConfig}
 
-    A missing or empty object reads as ``{}``. ``path`` prefixes key names in
-    errors (``"experiment."``).
+# Accepted and dropped: files written while MDLP still had that option hold it.
+_IGNORED_KEYS = frozenset({"experiment.candidates"})
+
+
+def _section(f) -> type | None:
+    """The config dataclass field ``f`` holds, or None for a plain value."""
+    if is_dataclass(f.default_factory):
+        return f.default_factory
+    return _OPTIONAL_SECTIONS.get(f.name)
+
+
+def _build(dc, payload, path: str = ""):
+    """``dc`` from its JSON object, built field by field in declaration order.
+
+    A missing or empty object reads as ``{}``, and a missing section as its
+    defaults; an optional section given as null stays None. ``path``
+    prefixes key names in errors (``"experiment."``).
     """
     payload = payload or {}
     if not isinstance(payload, Mapping):
-        raise TypeError(f"{path.rstrip('.')} must be a JSON object")
-    unknown = sorted(set(payload) - {f.name for f in fields(dc)} - ignored)
+        raise TypeError(f"{path.rstrip('.') or 'config'} must be a JSON object")
+    names = {f.name for f in fields(dc)}
+    unknown = sorted(k for k in payload if k not in names and path + k not in _IGNORED_KEYS)
     if unknown:
         raise ValueError(f"unknown key {path + unknown[0]!r}")
-    return {k: v for k, v in payload.items() if k not in ignored}
+    kwargs = {}
+    for f in fields(dc):
+        value, section = payload.get(f.name), _section(f)
+        if section is not None and (value is not None or f.default is MISSING):
+            kwargs[f.name] = _build(section, value, f"{path}{f.name}.")
+        elif f.name in payload:
+            kwargs[f.name] = value
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ValueError(f"missing key {path + f.name!r}")
+    return dc(**kwargs)

@@ -203,15 +203,22 @@ def encode(values) -> tuple[np.ndarray, tuple]:
 
     ``vocab[codes[i]] == values[i]``; vocabulary entries are Python scalars.
     Every dataset takes its codes from here, once per column, when it is built.
+    Texts that all spell non-negative integers without leading zeros sort by
+    value, as the int bins that a CSV of them was written from.
     """
     values = np.asarray(values)
-    if values.dtype != object:
+    if values.dtype.kind not in "OU":
         vocab, codes = np.unique(values, return_inverse=True)
         return codes.astype(np.int64), tuple(vocab.tolist())
     # np.unique would sort every record's Python object, one comparison call
     # at a time; sorting only the distinct values gives the same vocabulary
     items = values.tolist()
     vocab = sorted(set(items))
+    if all(
+        isinstance(v, str) and v.isascii() and v.isdigit() and (v[0] != "0" or v == "0")
+        for v in vocab
+    ):
+        vocab.sort(key=lambda v: (len(v), v))  # without leading zeros, shorter is smaller
     index = {v: i for i, v in enumerate(vocab)}
     codes = np.fromiter(map(index.__getitem__, items), dtype=np.int64, count=len(items))
     return codes, tuple(v.item() if isinstance(v, np.generic) else v for v in vocab)

@@ -282,15 +282,17 @@ class TestScoringKernel:
     def test_corrupted_row_index_raises_instead_of_clipping(self):
         model = train_naive_bayes(hand_dataset())
         model._rows.index[0]["x"] = 3  # one past the reserved row of a 3-row table
-        with pytest.raises(DataError, match="feature 1"):
+        with pytest.raises(IndexError):
             model.log_posteriors(hand_dataset())
 
     def test_table_shorter_than_its_values_raises(self):
+        # two values need three rows: theirs and the unseen one
         payload = train_naive_bayes(hand_dataset()).to_payload()
-        payload["features"][1]["cond"] = payload["features"][1]["cond"][:2]  # no unseen row
-        model = NaiveBayesModel.from_payload(payload)
-        with pytest.raises(DataError, match="feature 2"):
-            model.log_posteriors(query("x", "r"))
+        table = payload["features"][1]["cond"]
+        for rows in (table[:2], table + [table[-1]]):
+            payload["features"][1]["cond"] = rows
+            with pytest.raises(DataError, match=f"feature 2 has {len(rows)} table rows"):
+                NaiveBayesModel.from_payload(payload)
 
 
 class TestAdaBoost:

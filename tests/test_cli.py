@@ -12,7 +12,14 @@ import pytest
 import idspipe
 from idspipe import cli, pipeline
 from idspipe.cli import main
-from idspipe.config import PipelineConfig, SampleConfig
+from idspipe.config import (
+    ClassifierConfig,
+    CrossValConfig,
+    ExperimentConfig,
+    PipelineConfig,
+    SampleConfig,
+    SelectionConfig,
+)
 from idspipe.data import CONTINUOUS, NSLKDD_SCHEMA, parse_records, read_dataset, sample_indices
 from idspipe.pipeline import load_model_payload, run_experiment
 from idspipe.synth import synthetic_lines
@@ -216,8 +223,14 @@ class TestStageFailures:
                 "'smoothing'",
             ),
             ({"type": "nb", "features": 5, "model": {}}, "'features'"),
+            (
+                {"type": "nb", "features": [1], "model": {
+                    "labels": ["a"], "smoothing": 1.0, "priors": [1.0],
+                    "features": [{"values": [0, 1], "cond": [[0.5], [0.5]]}]}},
+                "naive Bayes feature 1 has 2 table rows for 2 values; it needs 3",
+            ),
         ],
-        ids=["empty", "round-without-smoothing", "features-not-a-list"],
+        ids=["empty", "round-without-smoothing", "features-not-a-list", "table-without-unseen-row"],
     )
     def test_malformed_model_is_a_data_error(self, raw_csv, tmp_path, capsys, payload, named):
         model = tmp_path / "model.json"
@@ -497,6 +510,18 @@ class TestStageFailures:
             ]
             assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize(
+        "text", ["5\n", '"config.json"\n', "[1]\n"], ids=["number", "string", "list"]
+    )
+    def test_config_that_is_not_an_object_is_named(self, tmp_path, capsys, text):
+        config = tmp_path / "config.json"
+        config.write_text(text)
+        capsys.readouterr()
+        code = run_cli("run", "--config", config, "--out", tmp_path / "o")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"invalid config file {config}: config must be a JSON object" in err
+
     def test_config_section_that_is_not_an_object_is_named(self, small_synth, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"input_path": str(small_synth), "experiment": [1]}))
@@ -592,6 +617,45 @@ class TestModelArtifact:
         assert (tmp_path / "report-indented.json").read_bytes() == (
             tmp_path / "report-model.json"
         ).read_bytes()
+
+
+def write_block_records(path):
+    """Write records whose duration runs in 12 blocks of unequal size, the
+    class alternating between normal and neptune from block to block: MDLP
+    cuts it into 12 bins, whose texts "10" and "11" sort before "2" as text."""
+    sizes = [30, 33, 33, 27, 48, 27, 38, 28, 30, 49, 21, 37]
+    records = [line.split(",") for line in synthetic_lines(sum(sizes), seed=0)]
+    blocks = [(b, j) for b, size in enumerate(sizes) for j in range(size)]
+    for fields, (b, j) in zip(records, blocks):
+        fields[0], fields[41] = str(b * 100 + j), ("normal", "neptune")[b % 2]
+    path.write_text("".join(",".join(fields) + "\n" for fields in records))
+    return path
+
+
+class TestStagedChain:
+    def test_stage_commands_reproduce_run(self, tmp_path):
+        records = write_block_records(tmp_path / "blocks.txt")
+        run_dir, disc = tmp_path / "run", tmp_path / "disc"
+        assert run_cli(
+            "run", "--input", records, "--discretization", "leaky", "--sample", "none",
+            "--rounds", "3", "--k", "3", "--out", run_dir,
+        ) == 0
+        assert run_cli("ingest", records, "--out", tmp_path / "ds.csv") == 0
+        assert run_cli("discretize", tmp_path / "ds.csv", "--out", disc) == 0
+        assert len(json.loads((disc / "discretizer.json").read_text())["cuts"]["1"]) == 11
+        binned, selection = disc / "discretized.csv", tmp_path / "selection.json"
+        assert run_cli("select", binned, "--out", selection) == 0
+        assert selection.read_bytes() == (run_dir / "selection.json").read_bytes()
+
+        model = tmp_path / "model.json"
+        assert run_cli(
+            "train", binned, "--selection", selection, "--rounds", "3", "--out", model
+        ) == 0
+        reports = []
+        for name, path in (("run", run_dir / "model.json"), ("train", model)):
+            reports.append(tmp_path / f"report-{name}.json")
+            assert run_cli("eval", binned, "--model", path, "--out", reports[-1]) == 0
+        assert reports[0].read_bytes() == reports[1].read_bytes()
 
 
 class TestRunArtifacts:
@@ -695,6 +759,99 @@ class TestRunArtifacts:
         written = json.loads((out / "config.json").read_text())
         assert written["sample"] == {"target": str(counts), "seed": 5}
         assert json.loads((out / "sample_manifest.json").read_text())["seed"] == 5
+
+
+def dotted(payload, prefix=""):
+    """Every leaf of a config payload under its dotted key."""
+    leaves = {}
+    for key, value in payload.items():
+        if isinstance(value, dict):
+            leaves.update(dotted(value, f"{prefix}{key}."))
+        else:
+            leaves[prefix + key] = value
+    return leaves
+
+
+# Per run flag: its arguments, and the value its key then takes (unlike the
+# base config's); "{copy}" is a copy of the input, "{other}" another directory.
+RUN_FLAG_CASES = {
+    "input_path": (["--input", "{copy}"], "{copy}"),
+    "granularity": (["--granularity", "category5"], "category5"),
+    "discretization": (["--discretization", "fold-safe"], "fold-safe"),
+    "method": (["--method", "cfs-greedy"], "cfs-greedy"),
+    "alpha": (["--alpha", "0.25"], 0.25),
+    "boost": (["--boost"], True),
+    "rounds": (["--rounds", "3"], 3),
+    "k": (["--k", "3"], 3),
+    "seed": (["--seed", "5"], 5),
+    "output_dir": (["--out", "{other}"], "{other}"),
+}
+
+
+class TestRunFlags:
+    def base_config(self, small_synth, tmp_path):
+        """A cheap config, written to a file; returns the file and its payload."""
+        config = PipelineConfig(
+            input_path=str(small_synth),
+            experiment=ExperimentConfig(
+                selection=SelectionConfig(method="ig"),
+                classifier=ClassifierConfig(boost=False, rounds=2),
+            ),
+            cv=CrossValConfig(k=2),
+            output_dir=str(tmp_path / "out"),
+        )
+        path = tmp_path / "config.json"
+        path.write_text(config.to_json())
+        return path, config.to_payload()
+
+    def test_every_run_flag_has_a_case(self):
+        assert set(RUN_FLAG_CASES) == set(cli._RUN_FLAG_KEYS)
+
+    @pytest.mark.parametrize("flag", sorted(RUN_FLAG_CASES))
+    def test_a_flag_changes_exactly_its_key(self, small_synth, tmp_path, flag):
+        names = {"copy": tmp_path / "copy.txt", "other": tmp_path / "other"}
+        names["copy"].write_bytes(small_synth.read_bytes())
+        config, payload = self.base_config(small_synth, tmp_path)
+        args, value = RUN_FLAG_CASES[flag]
+        if isinstance(value, str):
+            value = value.format(**names)
+        assert run_cli("run", "--config", config, *[a.format(**names) for a in args]) == 0
+        out = names["other"] if flag == "output_dir" else tmp_path / "out"
+        written = dotted(json.loads((out / "config.json").read_text()))
+        expected = dotted(payload)
+        assert expected[cli._RUN_FLAG_KEYS[flag]] != value
+        expected[cli._RUN_FLAG_KEYS[flag]] = value
+        assert written == expected
+
+    @pytest.mark.parametrize(
+        "args, sample",
+        [
+            (["--seed", "5"], None),
+            (["--seed", "5", "--sample", "{counts}"], {"target": "{counts}", "seed": 5}),
+            (["--sample", "{counts}"], {"target": "{counts}", "seed": 0}),
+        ],
+        ids=["seed", "seed-and-sample", "sample"],
+    )
+    def test_seed_sets_the_sample_seed_only_with_sample(
+        self, small_synth, tmp_path, args, sample
+    ):
+        counts = tmp_path / "counts.json"
+        counts.write_text(json.dumps({"normal": 30, "neptune": 15}))
+        config, payload = self.base_config(small_synth, tmp_path)
+        assert payload["sample"] is None
+        assert run_cli("run", "--config", config, *[a.format(counts=counts) for a in args]) == 0
+        written = json.loads((tmp_path / "out" / "config.json").read_text())
+        if sample is not None:
+            sample["target"] = sample["target"].format(counts=counts)
+        assert written["sample"] == sample
+        assert written["cv"]["seed"] == (5 if "--seed" in args else 0)
+
+    def test_sample_none_drops_the_files_sample(self, small_synth, tmp_path):
+        config, payload = self.base_config(small_synth, tmp_path)
+        config.write_text(json.dumps(dict(payload, sample={"target": "reference", "seed": 4})))
+        assert run_cli("run", "--config", config, "--sample", "none") == 0
+        written = json.loads((tmp_path / "out" / "config.json").read_text())
+        assert written == payload
 
 
 class TestReproduceTables:

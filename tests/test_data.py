@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 from bisect import bisect_right
 
@@ -9,7 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from idspipe import data
-from idspipe.config import ClassifierConfig, ExperimentConfig, SelectionConfig
+from idspipe.config import (
+    DEFAULT_HYBRID_ALPHA,
+    ClassifierConfig,
+    ExperimentConfig,
+    SelectionConfig,
+)
 from idspipe.data import (
     ATTACK23,
     ATTACK_CATEGORY,
@@ -33,9 +39,16 @@ from idspipe.data import (
     sample_indices,
     serialize_records,
     stratified_folds,
+    write_dataset,
 )
-from idspipe.discretize import CutPointList, DiscretizationModel, apply_discretizer
+from idspipe.discretize import (
+    CutPointList,
+    DiscretizationModel,
+    apply_discretizer,
+    fit_discretizer,
+)
 from idspipe.errors import ParseError, SamplingError, SchemaError, UnknownLabelError
+from idspipe.select import run_selection
 from idspipe.synth import synthetic_lines
 
 from conftest import class_counts, columns_of, cross_validate, same_dataset, toy_dataset
@@ -475,6 +488,25 @@ def raw_tables(draw):
     return columns, kinds, labels, kept
 
 
+# Unequal block sizes: each block's records share a class, and the class
+# alternates between blocks, so MDLP cuts between every two blocks.
+BLOCK_SIZES = [30, 33, 33, 27, 48, 27, 38, 28, 30, 49, 21, 37]
+
+
+def alternating_blocks():
+    """A continuous feature of 12 class-alternating blocks, a discrete noise
+    feature and a continuous noise feature."""
+    blocks = [b * 100 + j for b, size in enumerate(BLOCK_SIZES) for j in range(size)]
+    labels = ["ab"[b % 2] for b, size in enumerate(BLOCK_SIZES) for _ in range(size)]
+    rng = np.random.default_rng(0)
+    noise = rng.integers(0, 3, size=len(blocks)).tolist()
+    return toy_dataset(
+        [blocks, noise, rng.normal(size=len(blocks)).tolist()],
+        labels,
+        kinds=[CONTINUOUS, DISCRETE, CONTINUOUS],
+    )
+
+
 def reference_lines(columns, labels):
     """CSV lines formatted cell by cell."""
     return [
@@ -488,15 +520,43 @@ class TestEncode:
         st.one_of(
             st.lists(st.one_of(st.sampled_from(["tcp", "SF", "0.10", ""]), st.text(max_size=3))),
             st.lists(st.integers(-3, 3)),
+            st.lists(st.one_of(st.integers(0, 30).map(str), st.sampled_from(["00", "07", "x"]))),
         )
     )
     @settings(max_examples=150, deadline=None)
     def test_object_values_code_as_np_unique_does(self, values):
+        # except that texts of non-negative integers, without leading zeros,
+        # sort by value
         values = np.asarray(values, dtype=object)
-        vocab, codes = np.unique(values, return_inverse=True)
+        vocab = np.unique(values).tolist()
+        if all(isinstance(v, str) and re.fullmatch("0|[1-9][0-9]*", v) for v in vocab):
+            vocab.sort(key=int)
         got_codes, got_vocab = encode(values)
-        assert got_vocab == tuple(vocab.tolist())
-        assert got_codes.dtype == np.int64 and got_codes.tolist() == codes.tolist()
+        assert got_vocab == tuple(vocab)
+        assert got_codes.dtype == np.int64
+        assert got_codes.tolist() == [vocab.index(v) for v in values]
+
+    @pytest.mark.parametrize("dtype", [object, str])
+    def test_integer_texts_sort_by_value(self, dtype):
+        codes, vocab = encode(np.asarray(["10", "2", "0", "2"], dtype=dtype))
+        assert (codes.tolist(), vocab) == ([2, 1, 0, 1], ("0", "2", "10"))
+        codes, vocab = encode(np.asarray(["10", "2", "02"], dtype=dtype))
+        assert (codes.tolist(), vocab) == ([1, 2, 0], ("02", "10", "2"))
+
+    def test_eleven_cut_bins_read_back_in_value_order(self, tmp_path):
+        # in memory the bins are ints; from the CSV, "10" and "11" must not
+        # sort before "2"
+        ds = alternating_blocks()
+        model = fit_discretizer(ds)
+        assert [len(c.cuts) for c in model.cut_lists] == [11, 0]
+        binned = apply_discretizer(model, ds)
+        write_dataset(binned, tmp_path / "binned.csv")
+        back = read_dataset(tmp_path / "binned.csv")
+        assert back.vocabs[0] == tuple(str(b) for b in range(12))
+        assert all(np.array_equal(a, b) for a, b in zip(back.codes, binned.codes))
+        assert run_selection(back, "hybrid", DEFAULT_HYBRID_ALPHA).to_json() == (
+            run_selection(binned, "hybrid", DEFAULT_HYBRID_ALPHA).to_json()
+        )
 
 
 class TestCodeIndexedWriter:

@@ -12,6 +12,7 @@ import json
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -440,6 +441,22 @@ def test_every_fit_is_checked_by_the_training_set_builder():
         if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] in checks
     ]
     assert sorted(found) == [("check_discrete", True), ("label_set", True)]
+
+
+def test_the_config_builder_builds_every_section():
+    # a field holding a config dataclass that the builder does not recurse
+    # into would keep a file's section as a plain dict
+    module = idspipe.config
+    classes = {
+        obj for obj in vars(module).values()
+        if dataclasses.is_dataclass(obj) and obj.__module__ == module.__name__
+    }
+    assert len(classes) == 6
+    for dc in classes:
+        hints = typing.get_type_hints(dc)
+        for f in dataclasses.fields(dc):
+            held = [t for t in typing.get_args(hints[f.name]) or [hints[f.name]] if t in classes]
+            assert module._section(f) is (held[0] if held else None), f"{dc.__name__}.{f.name}"
 
 
 def used_names(tree: ast.Module) -> set[str]:
