@@ -39,10 +39,10 @@ _EXPORTS = {
         "evaluate": ("ConfusionMatrix", "EvaluationReport", "aggregate", "per_class_metrics"),
         "pipeline": ("reproduce_tables", "run_experiment"),
         "select": (
-            "CorrelationCache", "FeatureSubset", "RankedFeatures", "best_first_search",
-            "cfs_merit", "gain_ratio", "greedy_forward_search", "info_gain", "rank_threshold",
-            "symmetrical_uncertainty",
+            "CorrelationCache", "best_first_search", "cfs_merit", "gain_ratio",
+            "greedy_forward_search", "info_gain", "rank_threshold", "symmetrical_uncertainty",
         ),
+        "selection": ("FeatureSubset", "RankedFeatures"),
     }.items()
     for name in names
 }

@@ -112,15 +112,30 @@ class NaiveBayesModel:
 
     @classmethod
     def from_payload(cls, payload: Mapping) -> "NaiveBayesModel":
-        return cls(
-            labels=tuple(payload["labels"]),
-            smoothing=float(payload["smoothing"]),
-            priors=np.asarray(payload["priors"], dtype=float),
-            feature_values=tuple(tuple(f["values"]) for f in payload["features"]),
-            cond=tuple(
-                np.asarray(f["cond"], dtype=float) for f in payload["features"]
-            ),
-        )
+        """The model a payload holds; its priors and tables are checked here.
+
+        A fitted model's probabilities are finite and positive, one per label,
+        by construction, so only a decoded one pays for these checks.
+        """
+        labels = tuple(payload["labels"])
+        smoothing = float(payload["smoothing"])
+        priors = np.asarray(payload["priors"], dtype=float)
+        features = payload["features"]
+        feature_values = tuple(tuple(f["values"]) for f in features)
+        cond = tuple(np.asarray(f["cond"], dtype=float) for f in features)
+        if priors.shape != (len(labels),):
+            raise ValueError(
+                f"naive Bayes priors hold {priors.size} values for {len(labels)} labels"
+            )
+        for f, table in enumerate(cond):
+            if table.ndim != 2 or table.shape[1] != len(labels):
+                raise ValueError(
+                    f"naive Bayes feature {f + 1} table has shape {table.shape} "
+                    f"for {len(labels)} labels"
+                )
+        if not all(np.isfinite(a).all() and (a > 0).all() for a in (priors, *cond)):
+            raise ValueError("naive Bayes priors and tables must be finite and positive")
+        return cls(labels, smoothing, priors, feature_values, cond)
 
 
 class _RowLookup:
@@ -243,8 +258,8 @@ class EnsembleModel:
     def __post_init__(self):
         if not self.rounds:
             raise ValueError("ensemble needs at least one round")
-        if any(vote <= 0 for _, vote in self.rounds):
-            raise ValueError("vote weights must be positive")
+        if not all(0 < vote < math.inf for _, vote in self.rounds):
+            raise ValueError("vote weights must be finite and positive")
         # rounds whose values read the same share one lookup (models loaded
         # from a file hold equal but distinct ones)
         shared: dict[tuple, _RowLookup] = {}
@@ -271,13 +286,16 @@ class EnsembleModel:
 
     @classmethod
     def from_payload(cls, payload: Mapping) -> "EnsembleModel":
-        return cls(
-            labels=tuple(payload["labels"]),
-            rounds=tuple(
-                (NaiveBayesModel.from_payload(r["model"]), float(r["vote_weight"]))
-                for r in payload["rounds"]
-            ),
+        """The ensemble a payload holds; every round must share its labels."""
+        labels = tuple(payload["labels"])
+        rounds = tuple(
+            (NaiveBayesModel.from_payload(r["model"]), float(r["vote_weight"]))
+            for r in payload["rounds"]
         )
+        for r, (model, _) in enumerate(rounds):
+            if model.labels != labels:
+                raise ValueError(f"round {r + 1} labels differ from the ensemble's")
+        return cls(labels, rounds)
 
 
 @dataclass(frozen=True)

@@ -154,14 +154,13 @@ def select_cmd(dataset_path, method, alpha, out):
 @_stage("train")
 def train_cmd(dataset_path, selection_path, boost, rounds, smoothing, out):
     """Train the (optionally boosted) naive Bayes classifier."""
-    from . import classify, data, select
+    from . import classify, data
     from .pipeline import model_json
+    from .selection import SelectionResult
 
     features = None
     if selection_path:
-        result = data.read_json(
-            selection_path, select.SelectionResult.from_payload, "selection file"
-        )
+        result = data.read_json(selection_path, SelectionResult.from_payload, "selection file")
         features = list(result.subset.indices)
     ds = data.read_dataset(_resolve_input(dataset_path), features)
     if features is None:

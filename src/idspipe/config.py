@@ -158,6 +158,17 @@ _OPTIONAL_SECTIONS = {"sample": SampleConfig}
 # Accepted and dropped: files written while MDLP still had that option hold it.
 _IGNORED_KEYS = frozenset({"experiment.candidates"})
 
+# Per leaf annotation: whether a JSON value may fill the field, and what it
+# must be. A float field keeps an int as given, so config.json holds the
+# value it was given; NaN and infinities fail each float field's own range
+# check.
+_LEAF_TYPES = {
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    "float": (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), "a number"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+}
+
 
 def _section(f) -> type | None:
     """The config dataclass field ``f`` holds, or None for a plain value."""
@@ -170,7 +181,8 @@ def _build(dc, payload, path: str = ""):
     """``dc`` from its JSON object, built field by field in declaration order.
 
     A missing or empty object reads as ``{}``, and a missing section as its
-    defaults; an optional section given as null stays None. ``path``
+    defaults; an optional section given as null stays None. Each leaf must
+    hold the JSON type its annotation names (:data:`_LEAF_TYPES`). ``path``
     prefixes key names in errors (``"experiment."``).
     """
     payload = payload or {}
@@ -183,9 +195,13 @@ def _build(dc, payload, path: str = ""):
     kwargs = {}
     for f in fields(dc):
         value, section = payload.get(f.name), _section(f)
-        if section is not None and (value is not None or f.default is MISSING):
-            kwargs[f.name] = _build(section, value, f"{path}{f.name}.")
+        if section is not None:
+            if value is not None or f.default is MISSING:
+                kwargs[f.name] = _build(section, value, f"{path}{f.name}.")
         elif f.name in payload:
+            accepts, kind = _LEAF_TYPES[f.type]
+            if not accepts(value):
+                raise ValueError(f"{path}{f.name} must be {kind}, got {value!r}")
             kwargs[f.name] = value
         elif f.default is MISSING and f.default_factory is MISSING:
             raise ValueError(f"missing key {path + f.name!r}")

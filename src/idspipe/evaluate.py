@@ -335,9 +335,11 @@ def cross_validate_plan(
     the classifier settings. Every record is predicted exactly once from a
     model that never saw it (up to the declared leakage mode).
 
-    In leaky mode ``fitted`` is the preprocessing already fitted on ``ds``
-    by :func:`select.fit_preprocessing`; it is fitted here when not given. The
-    folds run at once on the usable CPUs (:func:`_map_folds`).
+    ``fitted`` is the preprocessing already fitted on ``ds`` by
+    :func:`select.fit_preprocessing`; leaky mode uses it, and fits it here when
+    not given. Every fold returns its predictions and the selection it
+    predicted with, so the descriptor reads each method's own alpha. The folds
+    run at once on the usable CPUs (:func:`_map_folds`).
     """
     # imported before _map_folds forks its workers, so no worker imports
     # them again
@@ -345,55 +347,36 @@ def cross_validate_plan(
     from .select import fit_preprocessing
 
     label_set = ds.label_set()
+    leaky = config.discretization == "leaky"
+    if leaky and fitted is None:
+        fitted = fit_preprocessing(ds, config)
 
-    def fit_predict(train: Dataset, test: Dataset) -> np.ndarray:
-        """Class index (into ``label_set``) predicted for every test record."""
-        model = classify.train_classifier(train, config.classifier, label_set=label_set)
-        return classify.ensemble_predict_batch(model, test)
-
-    if config.discretization == "leaky":
-        if fitted is None:
-            fitted = fit_preprocessing(ds, config)
-        _, selection, reduced = fitted
-
-        def run_fold(fold):
-            preds = fit_predict(
-                reduced.subset(plan.train_indices(fold)),
-                reduced.subset(plan.test_indices(fold)),
-            )
-            return preds, None
-
-    elif config.discretization == "fold-safe":
-
-        def run_fold(fold):
-            fold_fit = fit_preprocessing(ds.subset(plan.train_indices(fold)), config)
-            preds = fit_predict(
-                fold_fit.reduced, fold_fit.transform(ds.subset(plan.test_indices(fold)))
-            )
-            return preds, list(fold_fit.selection.subset.indices)
-
-    else:
-        raise ValueError(f"unknown discretization mode {config.discretization!r}")
+    def run_fold(fold):
+        """Class index (into ``label_set``) of every test record, and the fold's selection."""
+        train, test = plan.train_indices(fold), plan.test_indices(fold)
+        if leaky:
+            fold_fit = fitted
+            train_set, test_set = fitted.reduced.subset(train), fitted.reduced.subset(test)
+        else:
+            fold_fit = fit_preprocessing(ds.subset(train), config)
+            train_set, test_set = fold_fit.reduced, fold_fit.transform(ds.subset(test))
+        model = classify.train_classifier(train_set, config.classifier, label_set=label_set)
+        return classify.ensemble_predict_batch(model, test_set), fold_fit.selection
 
     preds = np.empty(len(ds), dtype=np.int64)
-    fold_selections = []  # fold-safe CV's selection of every fold
-    for fold, (fold_preds, fold_selection) in enumerate(_map_folds(run_fold, plan.k)):
+    selections = []
+    for fold, (fold_preds, selection) in enumerate(_map_folds(run_fold, plan.k)):
         preds[plan.test_indices(fold)] = fold_preds
-        fold_selections.append(fold_selection)
+        selections.append(selection)
 
-    if config.discretization == "leaky":
-        selection_desc = {
-            "method": selection.method,
-            "alpha": selection.alpha,
-            "features": list(selection.subset.indices),
-        }
-    else:
-        selection_desc = {
-            "method": config.selection.method,
-            "alpha": config.selection.alpha,
-            "features": sorted(set().union(*fold_selections)) if fold_selections else [],
-            "per_fold": fold_selections,
-        }
+    per_fold = [list(s.subset.indices) for s in selections]
+    selection_desc = {
+        "method": selections[0].method,
+        "alpha": selections[0].alpha,
+        "features": sorted(set().union(*per_fold)),
+    }
+    if not leaky:
+        selection_desc["per_fold"] = per_fold
 
     descriptor = {
         "granularity": ds.granularity,

@@ -94,29 +94,21 @@ def _map(config: PipelineConfig, ds: Dataset) -> Dataset:
 
 @_stage("evaluate")
 def _evaluate(config: PipelineConfig, ds: Dataset, plan):
-    """The CV report, and the full-data preprocessing when leaky CV fitted one."""
+    """The CV report, and the full-data preprocessing, which leaky CV reuses."""
     from .evaluate import cross_validate_plan
     from .select import fit_preprocessing
 
-    exp = config.experiment
-    fitted = fit_preprocessing(ds, exp) if exp.discretization == "leaky" else None
-    report = cross_validate_plan(ds, exp, plan, seed=config.cv.seed, fitted=fitted)
+    fitted = fit_preprocessing(ds, config.experiment)
+    report = cross_validate_plan(ds, config.experiment, plan, seed=config.cv.seed, fitted=fitted)
     return report, fitted
 
 
 @_stage("train")
-def _deployment_artifacts(config: PipelineConfig, ds: Dataset, fitted):
-    """Fit the full-data discretizer, selection, and model for deployment.
-
-    ``fitted`` is the preprocessing leaky CV already fitted on ``ds``, if any.
-    """
+def _deployment_model(config: PipelineConfig, fitted) -> EnsembleModel:
+    """The deployment model, trained on the full-data preprocessing's reduced dataset."""
     from .classify import train_classifier
-    from .select import fit_preprocessing
 
-    if fitted is None:
-        fitted = fit_preprocessing(ds, config.experiment)
-    model = train_classifier(fitted.reduced, config.experiment.classifier)
-    return fitted.discretizer, fitted.selection, model
+    return train_classifier(fitted.reduced, config.experiment.classifier)
 
 
 def model_json(kind: str, model: EnsembleModel, features) -> str:
@@ -181,15 +173,15 @@ def _experiment(config: PipelineConfig, ds: Dataset, manifest) -> EvaluationRepo
     descriptor_config.pop("output_dir")  # not part of the experiment identity
     report.descriptor["config"] = descriptor_config
 
-    dmodel, selection, model = _deployment_artifacts(config, ds, fitted)
+    model = _deployment_model(config, fitted)
 
     artifacts = {
         "config.json": config.to_json(),
         "foldplan.json": json_line(plan.to_payload()),
-        "discretizer.json": dmodel.to_json(),
-        "selection.json": selection.to_json(),
+        "discretizer.json": fitted.discretizer.to_json(),
+        "selection.json": fitted.selection.to_json(),
         "model.json": model_json(
-            config.experiment.classifier.kind, model, selection.subset.indices
+            config.experiment.classifier.kind, model, fitted.selection.subset.indices
         ),
         "report.json": report.to_json(),
         "report.txt": report.format_table(),

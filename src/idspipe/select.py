@@ -28,15 +28,15 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from . import discretize
 from .config import SELECTION_METHODS
-from .data import Dataset, check_discrete, encode, json_text
+from .data import Dataset, check_discrete, encode
+from .selection import FeatureSubset, RankedFeatures, SelectionResult
 
 BEST_FIRST_STALE_LIMIT = 5
 
@@ -237,37 +237,6 @@ class CorrelationCache:
         return self._class_su, self._ff
 
 
-@dataclass(frozen=True)
-class FeatureSubset:
-    """Unordered selection outcome: sorted 1-based indices plus CFS merit."""
-
-    indices: tuple[int, ...]
-    merit: float = 0.0
-
-    def __post_init__(self):
-        if list(self.indices) != sorted(set(self.indices)):
-            raise ValueError("subset indices must be sorted and unique")
-
-
-@dataclass(frozen=True)
-class RankedFeatures:
-    """(index, score) pairs in descending score order, ties by index."""
-
-    entries: tuple[tuple[int, float], ...]
-
-    def __post_init__(self):
-        scores = [s for _, s in self.entries]
-        if any(not math.isfinite(s) for s in scores):
-            raise ValueError("ranked scores must be finite")
-        keys = [(-s, i) for i, s in self.entries]
-        if keys != sorted(keys):
-            raise ValueError("entries must be sorted by descending score")
-
-    @property
-    def indices(self) -> tuple[int, ...]:
-        return tuple(i for i, _ in self.entries)
-
-
 def _sum_left_to_right(values) -> float:
     # builtin sum() compensates its rounding on Python >= 3.12
     total = 0.0
@@ -425,58 +394,6 @@ def rank_threshold(
     kept = [(i, s) for i, s in scored if s / max_score >= alpha]
     kept.sort(key=lambda e: (-e[1], e[0]))
     return RankedFeatures(entries=tuple(kept))
-
-
-@dataclass(frozen=True)
-class SelectionResult:
-    """Serializable outcome of one selection run."""
-
-    method: str
-    alpha: float | None
-    subset: FeatureSubset
-    ranking: RankedFeatures | None = None
-    components: Mapping[str, tuple[int, ...]] | None = None
-
-    def to_payload(self) -> dict:
-        payload: dict = {
-            "version": 1,
-            "method": self.method,
-            "alpha": self.alpha,
-            "indices": list(self.subset.indices),
-            "merit": self.subset.merit,
-        }
-        if self.ranking is not None:
-            payload["ranking"] = [[i, s] for i, s in self.ranking.entries]
-        if self.components is not None:
-            payload["components"] = {k: list(v) for k, v in self.components.items()}
-        return payload
-
-    def to_json(self) -> str:
-        return json_text(self.to_payload())
-
-    @classmethod
-    def from_payload(cls, payload: Mapping) -> "SelectionResult":
-        ranking = None
-        if "ranking" in payload:
-            ranking = RankedFeatures(
-                entries=tuple((int(i), float(s)) for i, s in payload["ranking"])
-            )
-        components = None
-        if "components" in payload:
-            components = {
-                str(k): tuple(int(i) for i in v)
-                for k, v in payload["components"].items()
-            }
-        return cls(
-            method=str(payload["method"]),
-            alpha=None if payload.get("alpha") is None else float(payload["alpha"]),
-            subset=FeatureSubset(
-                indices=tuple(int(i) for i in payload["indices"]),
-                merit=float(payload.get("merit", 0.0)),
-            ),
-            ranking=ranking,
-            components=components,
-        )
 
 
 def run_selection(ds: Dataset, method: str, alpha: float) -> SelectionResult:

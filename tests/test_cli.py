@@ -245,6 +245,40 @@ class TestStageFailures:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
+        "corrupt, named",
+        [
+            (lambda m: m["rounds"][0].update(vote_weight=math.nan),
+             "vote weights must be finite and positive"),
+            (lambda m: m["rounds"][0]["model"]["priors"].__setitem__(0, -1.0),
+             "naive Bayes priors and tables must be finite and positive"),
+            (lambda m: m["rounds"][0]["model"].update(priors=[1.0]),
+             "naive Bayes priors hold 1 values for 13 labels"),
+            (lambda m: m["rounds"][0]["model"].update(labels=[*m["labels"][:-1], "foreign"]),
+             "round 1 labels differ from the ensemble's"),
+        ],
+        ids=["nan-vote", "negative-prior", "one-prior-for-every-label", "foreign-round-labels"],
+    )
+    def test_model_value_out_of_range_is_a_data_error(
+        self, raw_csv, tmp_path, capsys, corrupt, named
+    ):
+        # each of these once changed the report, or warned, and exited 0
+        assert run_cli("discretize", raw_csv, "--out", tmp_path / "disc") == 0
+        binned = tmp_path / "disc" / "discretized.csv"
+        model = tmp_path / "model.json"
+        assert run_cli("train", binned, "--rounds", "3", "--out", model) == 0
+        payload = json.loads(model.read_text())
+        assert len(payload["model"]["labels"]) == 13
+        corrupt(payload["model"])
+        model.write_text(json.dumps(payload))
+        capsys.readouterr()
+        code = run_cli("eval", binned, "--model", model, "--out", tmp_path / "r.json")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: stage eval: malformed model file {model}: {named}\n"
+        )
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize(
         "model_granularity, data_granularity",
         [("category5", "attack23"), ("attack23", "category5")],
         ids=["category-model-on-attacks", "attack-model-on-categories"],
@@ -530,6 +564,31 @@ class TestStageFailures:
         err = capsys.readouterr().err
         assert code == 1
         assert f"invalid config file {config}: experiment must be a JSON object" in err
+
+    @pytest.mark.parametrize(
+        "experiment, cv, message",
+        [
+            ({"classifier": {"boost": "false"}}, {},
+             "experiment.classifier.boost must be true or false, got 'false'"),
+            ({"classifier": {"rounds": 2.5}}, {},
+             "experiment.classifier.rounds must be an integer, got 2.5"),
+            ({}, {"k": 3.0}, "cv.k must be an integer, got 3.0"),
+        ],
+        ids=["boost-text", "rounds-float", "k-float"],
+    )
+    def test_config_value_of_another_type_is_named(
+        self, small_synth, tmp_path, capsys, experiment, cv, message
+    ):
+        config = tmp_path / "config.json"
+        config.write_text(
+            json.dumps({"input_path": str(small_synth), "experiment": experiment, "cv": cv})
+        )
+        capsys.readouterr()
+        code = run_cli("run", "--config", config, "--out", tmp_path / "o")
+        errors = [line for line in capsys.readouterr().err.splitlines() if "Error" in line]
+        assert code == 1
+        assert errors == [f"Error: invalid config file {config}: {message}"]
+        assert not (tmp_path / "o").exists()
 
 
 class TestModelArtifact:

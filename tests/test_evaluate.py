@@ -235,6 +235,16 @@ class TestCrossValidate:
         assert "per_fold" in safe.descriptor["selection"]
         assert len(safe.descriptor["selection"]["per_fold"]) == 4
 
+    @pytest.mark.parametrize(
+        "method, alpha", [("cfs-greedy", None), ("cfs-bestfirst", None), ("ig", 0.3)]
+    )
+    @pytest.mark.parametrize("mode", ["leaky", "fold-safe"])
+    def test_descriptor_alpha_is_the_selections_own(self, mode, method, alpha):
+        # CFS takes no alpha, in either mode
+        report = cross_validate(cv_dataset(5), cv_config(method=method, mode=mode), k=4, seed=2)
+        assert report.descriptor["selection"]["method"] == method
+        assert report.descriptor["selection"]["alpha"] == alpha
+
     def test_boosted_run_and_descriptor(self):
         ds = cv_dataset(6)
         report = cross_validate(ds, cv_config(boost=True), k=4, seed=3)

@@ -540,8 +540,8 @@ def test_package_exports_resolve():
 COMMAND_MODULES = {
     "ingest": {"data", "pipeline"},
     "discretize": {"data", "discretize"},
-    "select": {"data", "discretize", "select"},
-    "train": {"data", "discretize", "select", "classify", "pipeline"},
+    "select": {"data", "discretize", "select", "selection"},
+    "train": {"data", "selection", "classify", "pipeline"},
     "eval": {"data", "classify", "evaluate", "pipeline"},
 }
 
