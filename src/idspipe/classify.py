@@ -196,6 +196,14 @@ class _TrainingSet:
             present = np.bincount(codes, minlength=len(vocab)) > 0
             feature_values.append(tuple(compress(vocab, present)))
             rows.append((np.cumsum(present) - 1)[codes])
+        # no prior or table cell a fit makes lies below s / (n + s * widest),
+        # widest being the largest of the class count and the table row
+        # counts; that bound is 0 when s underflows or the denominator overflows
+        widest = max([len(labels)] + [len(values) + 1 for values in feature_values])
+        if not smoothing / (len(ds) + smoothing * widest) > 0:
+            raise ValueError(
+                f"smoothing constant {smoothing!r} rounds a probability to 0 on {len(ds)} records"
+            )
         return cls(labels, y, tuple(feature_values), _RowLookup(feature_values), tuple(rows))
 
 
@@ -260,6 +268,9 @@ class EnsembleModel:
             raise ValueError("ensemble needs at least one round")
         if not all(0 < vote < math.inf for _, vote in self.rounds):
             raise ValueError("vote weights must be finite and positive")
+        for r, (model, _) in enumerate(self.rounds):
+            if model.labels != self.labels:
+                raise ValueError(f"round {r + 1} labels differ from the ensemble's")
         # rounds whose values read the same share one lookup (models loaded
         # from a file hold equal but distinct ones)
         shared: dict[tuple, _RowLookup] = {}
@@ -286,16 +297,12 @@ class EnsembleModel:
 
     @classmethod
     def from_payload(cls, payload: Mapping) -> "EnsembleModel":
-        """The ensemble a payload holds; every round must share its labels."""
-        labels = tuple(payload["labels"])
+        """The ensemble a payload holds."""
         rounds = tuple(
             (NaiveBayesModel.from_payload(r["model"]), float(r["vote_weight"]))
             for r in payload["rounds"]
         )
-        for r, (model, _) in enumerate(rounds):
-            if model.labels != labels:
-                raise ValueError(f"round {r + 1} labels differ from the ensemble's")
-        return cls(labels, rounds)
+        return cls(tuple(payload["labels"]), rounds)
 
 
 @dataclass(frozen=True)

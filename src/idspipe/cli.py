@@ -20,13 +20,12 @@ from typing import NoReturn
 import click
 
 from .config import (
-    ATTACK23,
     CATEGORY5,
-    DEFAULT_HYBRID_ALPHA,
     DISCRETIZATION_MODES,
     GRANULARITIES,
     SELECTION_METHODS,
     ClassifierConfig,
+    CrossValConfig,
     PipelineConfig,
     SampleConfig,
     SelectionConfig,
@@ -44,14 +43,18 @@ def _resolve_input(path: str) -> str:
     return path
 
 
-def _checked_alpha(ctx, param, value):
-    """An ``--alpha`` value that SelectionConfig accepts; the range type lets NaN through."""
-    if value is not None:
+def _field_option(flag: str, section: type, field: str):
+    """Option ``flag`` with the default and the rule of config field ``section.field``:
+    a value the section rejects is a usage error naming the flag."""
+
+    def check(ctx, param, value):
         try:
-            SelectionConfig(alpha=value)
+            section(**{field: value})
         except ValueError as exc:
-            raise click.UsageError(str(exc)) from exc
-    return value
+            raise click.BadParameter(str(exc), ctx, param) from exc
+        return value
+
+    return click.option(flag, default=getattr(section, field), show_default=True, callback=check)
 
 
 @click.group()
@@ -65,7 +68,7 @@ def cli():
 @click.option(
     "--granularity",
     type=click.Choice(GRANULARITIES),
-    default=ATTACK23,
+    default=PipelineConfig.granularity,
     show_default=True,
 )
 @click.option(
@@ -73,7 +76,7 @@ def cli():
     default=None,
     help="Distribution-match before output: 'reference' or a JSON counts file.",
 )
-@click.option("--sample-seed", type=click.IntRange(min=0), default=0, show_default=True)
+@_field_option("--sample-seed", SampleConfig, "seed")
 @_stage("ingest")
 def ingest(input_path, out, granularity, sample, sample_seed):
     """Parse a 42/43-field record file into a validated dataset CSV."""
@@ -116,16 +119,10 @@ def discretize_cmd(dataset_path, out):
 @click.option(
     "--method",
     type=click.Choice(SELECTION_METHODS),
-    default="hybrid",
+    default=SelectionConfig.method,
     show_default=True,
 )
-@click.option(
-    "--alpha",
-    type=click.FloatRange(0, 1),
-    default=DEFAULT_HYBRID_ALPHA,
-    show_default=True,
-    callback=_checked_alpha,
-)
+@_field_option("--alpha", SelectionConfig, "alpha")
 @click.option("--out", required=True, help="Output selection JSON path.")
 @_stage("select")
 def select_cmd(dataset_path, method, alpha, out):
@@ -145,11 +142,9 @@ def select_cmd(dataset_path, method, alpha, out):
 @cli.command("train")
 @click.argument("dataset_path")
 @click.option("--selection", "selection_path", default=None, help="Selection JSON.")
-@click.option("--boost/--no-boost", default=True, show_default=True)
-@click.option("--rounds", type=click.IntRange(min=1), default=10, show_default=True)
-@click.option(
-    "--smoothing", type=click.FloatRange(min=0, min_open=True), default=1.0, show_default=True
-)
+@click.option("--boost/--no-boost", default=ClassifierConfig.boost, show_default=True)
+@_field_option("--rounds", ClassifierConfig, "rounds")
+@_field_option("--smoothing", ClassifierConfig, "smoothing")
 @click.option("--out", required=True, help="Output model JSON path.")
 @_stage("train")
 def train_cmd(dataset_path, selection_path, boost, rounds, smoothing, out):
@@ -225,8 +220,9 @@ _RUN_FLAG_KEYS = {
 }
 
 
-def _run_payload(payload: dict, flags: dict) -> dict:
-    """``payload`` with each given flag in place of its key and the input resolved."""
+def _run_config(payload: dict, flags: dict) -> PipelineConfig:
+    """The config ``payload`` holds with each given flag in place of its key and
+    the input resolved; a value its field rejects is a usage error."""
     given = {flag: value for flag, value in flags.items() if value is not None}
     target = given.pop("sample", None)
     if target == "none":
@@ -241,7 +237,10 @@ def _run_payload(payload: dict, flags: dict) -> dict:
             section = section.setdefault(name, {})
         section[key] = value
     payload["input_path"] = _resolve_input(payload["input_path"])
-    return payload
+    try:
+        return PipelineConfig.from_payload(payload)
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from exc
 
 
 @cli.command("run")
@@ -274,10 +273,7 @@ def run_cmd(config_path, **flags):
         payload = {}
     else:
         raise click.UsageError("provide --config or --input")
-    try:
-        config = PipelineConfig.from_payload(_run_payload(payload, flags))
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
+    config = _run_config(payload, flags)
     from .pipeline import run_experiment
 
     report = run_experiment(config)
@@ -287,36 +283,25 @@ def run_cmd(config_path, **flags):
 
 @cli.command("reproduce-tables")
 @click.argument("input_path")
-@click.option("--out", required=True, help="Output directory for the tables.")
-@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
-@click.option("--rounds", type=click.IntRange(min=1), default=10, show_default=True)
+@click.option("--out", "output_dir", required=True, help="Output directory for the tables.")
+@click.option("--seed", default=CrossValConfig.seed, show_default=True)
+@click.option("--rounds", default=ClassifierConfig.rounds, show_default=True)
 @click.option(
-    "--alpha",
-    type=click.FloatRange(0, 1),
-    default=None,
-    callback=_checked_alpha,
-    help="Hybrid-stage alpha override.",
+    "--alpha", default=SelectionConfig.alpha, show_default=True, help="Hybrid-stage alpha override."
 )
-@click.option("--k", type=click.IntRange(min=2), default=10, show_default=True)
+@click.option("--k", default=CrossValConfig.k, show_default=True)
 @click.option(
     "--sample/--no-sample",
     default=True,
     show_default=True,
     help="Draw the reference 62,984-record sample before evaluating.",
 )
-def reproduce_tables_cmd(input_path, out, seed, rounds, alpha, k, sample):
+def reproduce_tables_cmd(sample, **flags):
     """Run the full selector-comparison grids at both granularities."""
+    base = _run_config({}, {**flags, "sample": "reference" if sample else "none"})
     from .pipeline import reproduce_tables
 
-    written = reproduce_tables(
-        _resolve_input(input_path),
-        out,
-        seed=seed,
-        rounds=rounds,
-        alpha=alpha,
-        sample=sample,
-        k=k,
-    )
+    written = reproduce_tables(base)
     for name in sorted(written):
         click.echo(f"wrote {written[name]}")
 

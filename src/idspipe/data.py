@@ -523,6 +523,14 @@ def read_json(path, decode, noun: str):
         raise DataError(f"malformed {noun} {path}: {exc}") from exc
 
 
+def json_int(value, key: str) -> int:
+    """``value``, which must be a JSON integer: a bool, a float or a text is
+    an error naming ``key``, not a number to round."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"{key} must be an integer, got {value!r}")
+
+
 def read_dataset(path, features: Iterable[int] | None = None) -> Dataset:
     """Read a dataset CSV; honors a ``<path>.schema.json`` sidecar if present.
 

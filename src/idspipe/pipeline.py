@@ -8,22 +8,14 @@ produce byte-identical files.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping
 
-from .config import (
-    ATTACK23,
-    CATEGORY5,
-    DEFAULT_HYBRID_ALPHA,
-    ClassifierConfig,
-    CrossValConfig,
-    ExperimentConfig,
-    PipelineConfig,
-    SampleConfig,
-    SelectionConfig,
-)
+from .config import ATTACK23, CATEGORY5, PipelineConfig, SampleConfig, SelectionConfig
 from .data import (
     Dataset,
+    json_int,
     json_line,
     json_text,
     map_labels,
@@ -62,7 +54,7 @@ def _sample(sample: SampleConfig | None, ds: Dataset):
     else:
         counts = read_json(
             sample.target,
-            lambda payload: {str(k): int(v) for k, v in payload.items()},
+            lambda payload: {k: json_int(v, repr(k)) for k, v in payload.items()},
             "sample counts file",
         )
     idx = sample_indices(ds, counts, sample.seed)
@@ -146,7 +138,8 @@ def load_model_payload(payload: dict):
         model = payload["model"]
         if "rounds" not in model:
             model = {"labels": model["labels"], "rounds": [{"vote_weight": 1.0, "model": model}]}
-        return kind, EnsembleModel.from_payload(model), [int(i) for i in features]
+        features = [json_int(i, f"features[{n}]") for n, i in enumerate(features)]
+        return kind, EnsembleModel.from_payload(model), features
     except KeyError as exc:
         raise DataError(f"model.json is missing key {exc.args[0]!r}") from exc
     except TypeError as exc:
@@ -204,48 +197,39 @@ TABLE_GRID = (
 )
 
 
-def reproduce_tables(
-    input_path: str,
-    output_dir: str,
-    seed: int = 0,
-    rounds: int = 10,
-    alpha: float | None = None,
-    sample: bool = True,
-    k: int = 10,
-) -> dict[str, Path]:
+def reproduce_tables(base: PipelineConfig) -> dict[str, Path]:
     """Run the full selector-comparison grids at both label granularities.
 
-    Emits one machine-readable JSON and one text table per granularity, plus
-    a per-attack F-measure comparison of the hybrid pipeline with and
-    without boosting (23-class only).
+    Each grid row is ``base`` with the row's granularity, selection method
+    and boosting, its own directory under ``base.output_dir``, and the row's
+    alpha, or ``base``'s for a row without one. Emits one machine-readable
+    JSON and one text table per granularity, plus a per-attack F-measure
+    comparison of the hybrid pipeline with and without boosting (23-class
+    only).
     """
-    out = Path(output_dir)
+    out = Path(base.output_dir)
     _write(out, {})  # an unusable output directory fails before any work
     tables: dict[str, str] = {}
     hybrid_reports: dict[bool, EvaluationReport] = {}
     # map_labels only renames labels, so both granularities share one sample
-    sample_config = SampleConfig(seed=seed) if sample else None
-    ds, manifest = _sample(sample_config, _ingest(input_path))
+    ds, manifest = _sample(base.sample, _ingest(base.input_path))
+    experiment = base.experiment
 
     for granularity, tag in ((ATTACK23, "23class"), (CATEGORY5, "5class")):
         rows = []
-        for method, row_alpha, boost in TABLE_GRID:
+        for method, alpha, boost in TABLE_GRID:
             if granularity == CATEGORY5 and boost:
                 continue
-            effective_alpha = (
-                row_alpha
-                if row_alpha is not None
-                else (alpha if alpha is not None else DEFAULT_HYBRID_ALPHA)
-            )
-            config = PipelineConfig(
-                input_path=input_path,
+            config = replace(
+                base,
                 granularity=granularity,
-                sample=sample_config,
-                experiment=ExperimentConfig(
-                    selection=SelectionConfig(method=method, alpha=effective_alpha),
-                    classifier=ClassifierConfig(boost=boost, rounds=rounds),
+                experiment=replace(
+                    experiment,
+                    selection=SelectionConfig(
+                        method, experiment.selection.alpha if alpha is None else alpha
+                    ),
+                    classifier=replace(experiment.classifier, boost=boost),
                 ),
-                cv=CrossValConfig(k=k, seed=seed),
                 output_dir=str(out / f"{tag}-{method}{'-boost' if boost else ''}"),
             )
             report = _experiment(config, _map(config, ds), manifest)
@@ -262,7 +246,7 @@ def reproduce_tables(
                     "fpr": report.weighted.fpr,
                 }
             )
-        payload = {"granularity": granularity, "seed": seed, "rows": rows}
+        payload = {"granularity": granularity, "seed": base.cv.seed, "rows": rows}
         tables[f"selector_comparison_{tag}.json"] = json_text(payload)
         tables[f"selector_comparison_{tag}.txt"] = _format_grid(granularity, rows)
 

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .data import json_text
+from .data import json_int, json_text
 
 
 @dataclass(frozen=True)
@@ -77,19 +77,24 @@ class SelectionResult:
         ranking = None
         if "ranking" in payload:
             ranking = RankedFeatures(
-                entries=tuple((int(i), float(s)) for i, s in payload["ranking"])
+                entries=tuple(
+                    (json_int(i, f"ranking[{n}][0]"), float(s))
+                    for n, (i, s) in enumerate(payload["ranking"])
+                )
             )
         components = None
         if "components" in payload:
             components = {
-                str(k): tuple(int(i) for i in v)
+                str(k): tuple(json_int(i, f"components.{k}[{n}]") for n, i in enumerate(v))
                 for k, v in payload["components"].items()
             }
         return cls(
             method=str(payload["method"]),
             alpha=None if payload.get("alpha") is None else float(payload["alpha"]),
             subset=FeatureSubset(
-                indices=tuple(int(i) for i in payload["indices"]),
+                indices=tuple(
+                    json_int(i, f"indices[{n}]") for n, i in enumerate(payload["indices"])
+                ),
                 merit=float(payload.get("merit", 0.0)),
             ),
             ranking=ranking,

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -131,6 +132,18 @@ class TestTrainNaiveBayes:
         with pytest.raises(ValueError, match="smoothing constant must be finite and positive"):
             train_naive_bayes(hand_dataset(), smoothing=smoothing)
         with pytest.raises(ValueError, match="smoothing constant must be finite and positive"):
+            next(boost_rounds(hand_dataset(), smoothing=smoothing))
+
+    @pytest.mark.parametrize("smoothing", [1e308, 5e-324])
+    def test_smoothing_that_rounds_a_probability_to_0_is_rejected(self, smoothing):
+        # 1e308 overflows the denominators, so the priors would be 0; 5e-324
+        # underflows the cells of absent values to 0
+        message = re.escape(
+            f"smoothing constant {smoothing!r} rounds a probability to 0 on 4 records"
+        )
+        with pytest.raises(ValueError, match=message):
+            train_naive_bayes(hand_dataset(), smoothing=smoothing)
+        with pytest.raises(ValueError, match=message):
             next(boost_rounds(hand_dataset(), smoothing=smoothing))
 
     def test_label_outside_declared_set(self):
@@ -382,11 +395,11 @@ class TestAdaBoost:
 
 class TestEnsemblePredict:
     def nb_stub(self, value_to_label):
-        """Single-feature NB trained to map one value to one label."""
+        """Single-feature NB over labels ``a`` and ``b``, trained to map each value
+        to one label."""
         values = sorted(value_to_label)
-        labels = sorted(set(value_to_label.values()))
         ds = toy_dataset([values], [value_to_label[v] for v in values])
-        return train_naive_bayes(ds, label_set=labels)
+        return train_naive_bayes(ds, label_set=("a", "b"))
 
     def test_single_round_equals_base_model(self):
         ds = random_dataset(2)
@@ -397,10 +410,11 @@ class TestEnsemblePredict:
         )
 
     def test_heavier_round_wins(self):
+        # the heavier round votes for the later label, which a tie would not pick
         m_a = self.nb_stub({"v": "a", "w": "a"})
         m_b = self.nb_stub({"v": "b", "w": "b"})
-        ensemble = EnsembleModel(labels=("a", "b"), rounds=((m_a, 2.0), (m_b, 1.0)))
-        assert ensemble.labels[ensemble_predict_batch(ensemble, query("v"))[0]] == "a"
+        ensemble = EnsembleModel(labels=("a", "b"), rounds=((m_a, 1.0), (m_b, 2.0)))
+        assert ensemble.labels[ensemble_predict_batch(ensemble, query("v"))[0]] == "b"
 
     def test_majority_vote(self):
         m_a = self.nb_stub({"v": "a"})
@@ -415,6 +429,13 @@ class TestEnsemblePredict:
         m_b = self.nb_stub({"v": "b"})
         ensemble = EnsembleModel(labels=("a", "b"), rounds=((m_b, 1.0), (m_a, 1.0)))
         assert ensemble.labels[ensemble_predict_batch(ensemble, query("v"))[0]] == "a"
+
+    def test_every_round_shares_the_ensembles_labels(self):
+        m_a = self.nb_stub({"v": "a"})
+        ds = toy_dataset([["v"]], ["a"])
+        only_a = train_naive_bayes(ds)
+        with pytest.raises(ValueError, match="round 2 labels differ from the ensemble's"):
+            EnsembleModel(labels=("a", "b"), rounds=((m_a, 1.0), (only_a, 1.0)))
 
     def test_serialization_bit_identical_predictions(self):
         ds = random_dataset(9)

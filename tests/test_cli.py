@@ -352,10 +352,25 @@ class TestStageFailures:
             ("{tmp}/c.json", "[3]",
              ["run", "--input", "{synth}", "--sample", "{side}", "--out", "{tmp}/o"],
              "sample", "{side}"),
+            # a number that is not a JSON integer was once rounded or parsed,
+            # 10.9 read as 10, true as 1 and "5" as 5
+            ("{tmp}/c.json", '{"normal": 10.9, "neptune": true, "smurf": "3"}',
+             ["ingest", "{synth}", "--out", "{tmp}/x.csv", "--sample", "{side}"],
+             "sample", "{side}: 'normal' must be an integer, got 10.9"),
+            ("{tmp}/s.json", '{"method": "hybrid", "indices": [true, 2.9, "5"]}',
+             ["train", "{raw}", "--selection", "{side}", "--out", "{tmp}/m.json"],
+             "train", "{side}: indices[0] must be an integer, got True"),
+            ("{tmp}/m.json", json.dumps({"type": "nb", "features": [2.7], "model": {
+                "labels": ["a"], "smoothing": 1.0, "priors": [1.0],
+                "features": [{"values": ["tcp"], "cond": [[1.0], [1.0]]}]}}),
+             ["eval", "{raw}", "--model", "{side}", "--out", "{tmp}/r.json"],
+             "eval", "{side}: features[0] must be an integer, got 2.7"),
         ],
         ids=["sidecar-empty", "sidecar-schema-not-a-list", "sidecar-a-list",
              "selection-without-indices", "selection-outside-schema",
-             "model-features-outside-schema", "ingest-counts-a-list", "run-counts-a-list"],
+             "model-features-outside-schema", "ingest-counts-a-list", "run-counts-a-list",
+             "counts-not-integers", "selection-indices-not-integers",
+             "model-feature-not-an-integer"],
     )
     def test_malformed_side_file_is_a_data_error_naming_it(
         self, small_synth, raw_csv, tmp_path, capsys, side, text, args, stage, named
@@ -466,18 +481,49 @@ class TestStageFailures:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("smoothing", ["nan", "inf"])
-    def test_non_finite_train_smoothing_is_a_data_error(
+    def test_non_finite_train_smoothing_is_a_usage_error(
         self, raw_csv, tmp_path, capsys, smoothing
     ):
         capsys.readouterr()
         code = run_cli(
             "train", raw_csv, "--smoothing", smoothing, "--out", tmp_path / "m.json"
         )
-        assert code == 2
-        assert capsys.readouterr().err == (
-            "error: stage train: classifier.smoothing must be finite and positive\n"
+        assert code == 1
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "Error: Invalid value for '--smoothing': "
+            "classifier.smoothing must be finite and positive"
         )
         assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("smoothing", ["1e308", "1e-323"])
+    def test_smoothing_that_rounds_a_probability_to_0_is_a_data_error(
+        self, raw_csv, tmp_path, capsys, smoothing
+    ):
+        # 1e308 overflows the table denominators and 1e-323 underflows the
+        # cells of absent values: either model would hold a 0 that eval rejects
+        assert run_cli("discretize", raw_csv, "--out", tmp_path / "d") == 0
+        capsys.readouterr()
+        code = run_cli(
+            "train", tmp_path / "d" / "discretized.csv", "--smoothing", smoothing,
+            "--out", tmp_path / "m.json",
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: stage train: smoothing constant {float(smoothing)!r} "
+            "rounds a probability to 0 on 260 records\n"
+        )
+        assert not (tmp_path / "m.json").exists()
+
+    # The rule of the config field each option sets, as its error states it.
+    # reproduce-tables samples by default, so its --seed first fails sample.seed.
+    RANGE_RULES = {
+        "--sample-seed": "sample.seed must be non-negative",
+        "--seed": "sample.seed must be non-negative",
+        "--k": "cv.k must be at least 2",
+        "--rounds": "classifier.rounds must be at least 1",
+        "--smoothing": "classifier.smoothing must be finite and positive",
+        "--alpha": "selection.alpha must lie in [0, 1]",
+    }
 
     @pytest.mark.parametrize(
         "command, flags, option",
@@ -501,20 +547,23 @@ class TestStageFailures:
         err = capsys.readouterr().err
         assert code == 1
         errors = [line for line in err.splitlines() if line.startswith("Error:")]
-        assert len(errors) == 1 and errors[0].startswith(f"Error: Invalid value for '{option}'")
+        if command == "reproduce-tables":  # its flags build one config, as run's do
+            assert errors == [f"Error: {self.RANGE_RULES[option]}"]
+        else:
+            assert errors == [f"Error: Invalid value for '{option}': {self.RANGE_RULES[option]}"]
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["run", "reproduce-tables", "select"])
     def test_nan_alpha_is_usage_error(self, small_synth, tmp_path, capsys, command):
-        # the range check lets NaN through; the configuration rejects it
-        # before any work is done
+        # the configuration rejects it before any work is done
         capsys.readouterr()
         args = ["--input", small_synth] if command == "run" else [small_synth]
         code = run_cli(command, *args, "--alpha", "nan", "--out", tmp_path / "o")
         err = capsys.readouterr().err
         assert code == 1
         errors = [line for line in err.splitlines() if line.startswith("Error:")]
-        assert errors == ["Error: selection.alpha must lie in [0, 1]"]
+        flag = "Invalid value for '--alpha': " if command == "select" else ""
+        assert errors == [f"Error: {flag}selection.alpha must lie in [0, 1]"]
         assert "internal error" not in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 

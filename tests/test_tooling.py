@@ -8,8 +8,10 @@ import ast
 import dataclasses
 import importlib
 import importlib.util
+import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import typing
@@ -362,7 +364,12 @@ def test_reproduce_tables_parses_once(monkeypatch, synth_file, tmp_path):
     calls = []
     count_calls(monkeypatch, data, "parse_records", calls)
     written = pipeline.reproduce_tables(
-        str(synth_file), str(tmp_path), rounds=2, sample=False, k=3
+        PipelineConfig(
+            str(synth_file),
+            experiment=ExperimentConfig(classifier=ClassifierConfig(rounds=2)),
+            cv=CrossValConfig(k=3),
+            output_dir=str(tmp_path),
+        )
     )
     assert "per_attack_f.json" in written
     assert len([p for p in tmp_path.iterdir() if p.is_dir()]) == 13  # grid rows
@@ -544,6 +551,18 @@ COMMAND_MODULES = {
     "train": {"data", "selection", "classify", "pipeline"},
     "eval": {"data", "classify", "evaluate", "pipeline"},
 }
+
+
+def test_readme_names_the_modules_each_command_loads():
+    heading = "idspipe modules besides `cli`, `config`, `errors`"
+    lines = (PERFBENCH.parent / "README.md").read_text().splitlines()
+    start = next(n for n, line in enumerate(lines) if heading in line)
+    column = [cell.strip() for cell in lines[start].split("|")].index(heading)
+    named = {}
+    for line in itertools.takewhile(lambda line: line.startswith("|"), lines[start + 2 :]):
+        cells = line.split("|")
+        named[cells[1].strip().strip("`")] = set(re.findall(r"`(\w+)`", cells[column]))
+    assert named == {"--help": set(), **COMMAND_MODULES}
 
 
 def in_fresh_process(*commands):
