@@ -17,11 +17,8 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .config import ClassifierConfig
-from .data import Dataset, check_discrete
+from .data import Dataset, check_discrete, json_number
 from .errors import DataError, SchemaError
-
-DEFAULT_SMOOTHING = 1.0
-DEFAULT_ROUNDS = 10
 
 # Error floor standing in for a perfect round, and the vote assigned to a
 # first round that is no better than chance; both keep vote weights finite.
@@ -114,11 +111,14 @@ class NaiveBayesModel:
     def from_payload(cls, payload: Mapping) -> "NaiveBayesModel":
         """The model a payload holds; its priors and tables are checked here.
 
-        A fitted model's probabilities are finite and positive, one per label,
-        by construction, so only a decoded one pays for these checks.
+        A fitted model's smoothing and probabilities are finite and positive,
+        one per label, by construction, so only a decoded one pays for these
+        checks.
         """
         labels = tuple(payload["labels"])
-        smoothing = float(payload["smoothing"])
+        smoothing = json_number(payload["smoothing"], "smoothing")
+        if not 0 < smoothing < math.inf:
+            raise ValueError(f"smoothing must be finite and positive, got {smoothing!r}")
         priors = np.asarray(payload["priors"], dtype=float)
         features = payload["features"]
         feature_values = tuple(tuple(f["values"]) for f in features)
@@ -209,7 +209,7 @@ class _TrainingSet:
 
 def train_naive_bayes(
     ds: Dataset,
-    smoothing: float = DEFAULT_SMOOTHING,
+    smoothing: float = ClassifierConfig.smoothing,
     label_set: Sequence[str] | None = None,
 ) -> NaiveBayesModel:
     """Fit smoothed priors and per-feature conditionals, every record weighing 1.
@@ -299,8 +299,11 @@ class EnsembleModel:
     def from_payload(cls, payload: Mapping) -> "EnsembleModel":
         """The ensemble a payload holds."""
         rounds = tuple(
-            (NaiveBayesModel.from_payload(r["model"]), float(r["vote_weight"]))
-            for r in payload["rounds"]
+            (
+                NaiveBayesModel.from_payload(r["model"]),
+                json_number(r["vote_weight"], f"rounds[{n}].vote_weight"),
+            )
+            for n, r in enumerate(payload["rounds"])
         )
         return cls(tuple(payload["labels"]), rounds)
 
@@ -319,8 +322,8 @@ class BoostRound:
 
 def boost_rounds(
     ds: Dataset,
-    rounds: int = DEFAULT_ROUNDS,
-    smoothing: float = DEFAULT_SMOOTHING,
+    rounds: int = ClassifierConfig.rounds,
+    smoothing: float = ClassifierConfig.smoothing,
     label_set: Sequence[str] | None = None,
 ) -> Iterator[BoostRound]:
     """Yield AdaBoost.M1 rounds over a weight-aware naive Bayes learner.
@@ -358,8 +361,8 @@ def boost_rounds(
 
 def train_adaboost_m1(
     ds: Dataset,
-    rounds: int = DEFAULT_ROUNDS,
-    smoothing: float = DEFAULT_SMOOTHING,
+    rounds: int = ClassifierConfig.rounds,
+    smoothing: float = ClassifierConfig.smoothing,
     label_set: Sequence[str] | None = None,
 ) -> EnsembleModel:
     """Train an AdaBoost.M1 ensemble of naive Bayes models."""

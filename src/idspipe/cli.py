@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import NoReturn
 
 import click
+from click.core import ParameterSource
 
 from .config import (
     CATEGORY5,
@@ -57,6 +58,15 @@ def _field_option(flag: str, section: type, field: str):
     return click.option(flag, default=getattr(section, field), show_default=True, callback=check)
 
 
+def _needs_sample(ctx, param, value):
+    """``ingest --sample``, checked after ``--sample-seed``: click processes a
+    flag the command line gives before one it leaves to its default, so a
+    seed typed without ``--sample`` is known here and is a usage error."""
+    if value is None and ctx.get_parameter_source("sample_seed") is ParameterSource.COMMANDLINE:
+        raise click.UsageError("--sample-seed needs --sample", ctx)
+    return value
+
+
 @click.group()
 def cli():
     """Intrusion-detection experiment pipeline."""
@@ -74,6 +84,7 @@ def cli():
 @click.option(
     "--sample",
     default=None,
+    callback=_needs_sample,
     help="Distribution-match before output: 'reference' or a JSON counts file.",
 )
 @_field_option("--sample-seed", SampleConfig, "seed")

@@ -531,6 +531,14 @@ def json_int(value, key: str) -> int:
     raise ValueError(f"{key} must be an integer, got {value!r}")
 
 
+def json_number(value, key: str) -> float:
+    """``value``, which must be a JSON number (an integer or a float), as a
+    float: a bool or a text is an error naming ``key``, not a number to read."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    raise ValueError(f"{key} must be a number, got {value!r}")
+
+
 def read_dataset(path, features: Iterable[int] | None = None) -> Dataset:
     """Read a dataset CSV; honors a ``<path>.schema.json`` sidecar if present.
 

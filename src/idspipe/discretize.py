@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, FeatureSchema, encode, json_text
+from .data import Dataset, FeatureSchema, encode, json_number, json_text
 from .errors import SchemaError
 
 
@@ -249,8 +249,9 @@ class DiscretizationModel:
     @classmethod
     def from_payload(cls, payload: Mapping) -> "DiscretizationModel":
         schema = FeatureSchema.from_payload(payload["schema"])
+        cuts = payload["cuts"]
         cut_lists = tuple(
-            CutPointList(idx, tuple(float(c) for c in payload["cuts"][str(idx)]))
+            CutPointList(idx, tuple(json_number(c, f"cuts.{idx}") for c in cuts[str(idx)]))
             for idx in schema.continuous_indices
         )
         return cls(schema=schema, cut_lists=cut_lists)

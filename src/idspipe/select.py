@@ -8,14 +8,14 @@ and best-first searches optimize merit; the hybrid selector unions the
 greedy CFS subset with top information-gain features drawn from the rest.
 
 Each measure has one implementation. :func:`_su_scores` computes every
-symmetrical uncertainty: the correlation cache's feature-feature rows and
+symmetrical uncertainty: the correlation cache's feature-feature pairs and
 its feature-class row (the class is one more coded column), the ``su``
 ranker and :func:`symmetrical_uncertainty`. :func:`_class_scores` computes
 information gain and gain ratio. Both take their entropies from one
 :func:`_entropies` pass over every column's value counts. The public column
-scorers (:func:`info_gain`, :func:`gain_ratio`,
-:func:`symmetrical_uncertainty`) code their two columns and call the same
-kernels as the selectors.
+scorers (:func:`info_gain`, :func:`gain_ratio`, :func:`symmetrical_uncertainty`)
+code their two columns and call the same kernels as the selectors, and
+:func:`_extension_merits` computes every CFS merit, :func:`cfs_merit`'s too.
 
 :func:`fit_preprocessing` fits the discretizer, then one selection method,
 on a dataset: the preprocessing of every CV fold and of the deployment fit.
@@ -27,8 +27,6 @@ break toward the smallest feature index.
 from __future__ import annotations
 
 import heapq
-import math
-from itertools import combinations
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -190,8 +188,7 @@ class CorrelationCache:
 
     Feature-class values are computed when the cache is built. Feature-feature
     values live in a dense table indexed by 1-based feature numbers, filled
-    one row at a time by :meth:`su_arrays` or one entry at a time by
-    :meth:`feature_feature`; entries are symmetric and lie in [0, 1].
+    by :meth:`su_arrays` only; entries are symmetric and lie in [0, 1].
     """
 
     def __init__(self, ds: Dataset):
@@ -216,22 +213,18 @@ class CorrelationCache:
         row = (self._codes[i], self._cards[i], self._h[i])
         self._ff[i, js] = self._ff[js, i] = _su_scores(codes, self._cards[js], self._h[js], *row)
 
-    def feature_class(self, i: int) -> float:
-        return float(self._class_su[i])
+    def su_arrays(
+        self, members: Iterable[int], among: Iterable[int]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Feature-class vector and feature-feature table, the pairs asked for filled.
 
-    def feature_feature(self, i: int, j: int) -> float:
-        if np.isnan(self._ff[i, j]):
-            self._fill(i, np.array([j]))
-        return float(self._ff[i, j])
-
-    def su_arrays(self, members: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
-        """Feature-class vector and feature-feature table, rows of ``members`` filled.
-
-        Both are indexed by 1-based feature number and are the cache's own
-        arrays, not copies.
+        Each of ``members`` gets its missing pairs with ``among`` in one
+        kernel call. Both arrays are indexed by 1-based feature number and
+        are the cache's own arrays, not copies.
         """
+        among = np.array(sorted(set(among)), dtype=np.int64)
         for i in members:
-            missing = np.flatnonzero(np.isnan(self._ff[i]))
+            missing = among[np.isnan(self._ff[i, among])]
             if missing.size:
                 self._fill(i, missing)
         return self._class_su, self._ff
@@ -249,36 +242,27 @@ def cfs_merit(subset, cache) -> float:
     """CFS merit k*rcf / sqrt(k + k(k-1)*rff) of a feature subset.
 
     ``subset`` may be a FeatureSubset or an iterable of 1-based indices;
-    ``cache`` is anything exposing feature_class(i) and feature_feature(i, j).
-    Correlations are added left to right over the sorted members and their
-    pairs in ``combinations`` order, so the result is bit-identical under
-    permutation of the members.
+    ``cache`` is anything exposing ``su_arrays(members, among)``. The merit
+    is the searches' own :func:`_extension_merits` step over the sorted
+    members, so it is bit-identical under permutation of the members and to
+    the merit a search reports for the same subset.
     """
     indices = sorted(subset.indices if isinstance(subset, FeatureSubset) else subset)
-    k = len(indices)
-    if k == 0:
-        return 0.0
-    rcf = _sum_left_to_right(cache.feature_class(i) for i in indices) / k
-    if k == 1:
-        return rcf
-    pairs = list(combinations(indices, 2))
-    rff = _sum_left_to_right(cache.feature_feature(i, j) for i, j in pairs) / len(pairs)
-    return k * rcf / math.sqrt(k + k * (k - 1) * rff)
+    return _extension_merits(cache, indices[:-1], indices[-1:])[0] if indices else 0.0
 
 
 def _extension_merits(cache, base, candidates) -> list[float]:
-    """``cfs_merit(base + [i], cache)`` for every candidate ``i``, bit for bit.
+    """CFS merit of ``base + [i]`` for every candidate ``i``: the one merit implementation.
 
-    ``cache`` exposes ``su_arrays(base)``. Each candidate subset's
+    ``cache`` exposes ``su_arrays(members, among)``. Each candidate subset's
     correlations are added left to right (the last column of ``np.cumsum``)
     over its sorted members and over its pairs in ``combinations`` order
-    (``np.triu_indices``), exactly as cfs_merit adds them; ``np.sum`` adds
-    pairwise and would change the low bits.
+    (``np.triu_indices``); ``np.sum`` adds pairwise and would change the low bits.
     """
     cands = np.asarray(candidates, dtype=np.int64)
     if cands.size == 0:
         return []
-    class_su, table = cache.su_arrays(base)
+    class_su, table = cache.su_arrays(base, [*base, *candidates])
     k = len(base) + 1
     members = np.tile(np.asarray(base, dtype=np.int64), (cands.size, 1))
     members = np.sort(np.concatenate([members, cands[:, None]], axis=1), axis=1)

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .data import json_int, json_text
+from .data import json_int, json_number, json_text
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,7 @@ class SelectionResult:
         if "ranking" in payload:
             ranking = RankedFeatures(
                 entries=tuple(
-                    (json_int(i, f"ranking[{n}][0]"), float(s))
+                    (json_int(i, f"ranking[{n}][0]"), json_number(s, f"ranking[{n}][1]"))
                     for n, (i, s) in enumerate(payload["ranking"])
                 )
             )
@@ -88,14 +88,17 @@ class SelectionResult:
                 str(k): tuple(json_int(i, f"components.{k}[{n}]") for n, i in enumerate(v))
                 for k, v in payload["components"].items()
             }
+        merit = json_number(payload.get("merit", 0.0), "merit")
+        if not math.isfinite(merit):
+            raise ValueError(f"merit must be finite, got {merit!r}")
         return cls(
             method=str(payload["method"]),
-            alpha=None if payload.get("alpha") is None else float(payload["alpha"]),
+            alpha=None if payload.get("alpha") is None else json_number(payload["alpha"], "alpha"),
             subset=FeatureSubset(
                 indices=tuple(
                     json_int(i, f"indices[{n}]") for n, i in enumerate(payload["indices"])
                 ),
-                merit=float(payload.get("merit", 0.0)),
+                merit=merit,
             ),
             ranking=ranking,
             components=components,

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from idspipe.classify import (
-    DEFAULT_SMOOTHING,
     ERROR_FLOOR,
     MIN_VOTE_WEIGHT,
     EnsembleModel,
@@ -39,8 +38,9 @@ def hand_dataset():
 
 def weighted_fit(ds, weights, label_set=None):
     """The naive Bayes fit a boosting round makes, on records weighed by ``weights``."""
-    ts = classify._TrainingSet.of(ds, DEFAULT_SMOOTHING, label_set)
-    return classify._fit_naive_bayes(ts, np.asarray(weights, dtype=float), DEFAULT_SMOOTHING)
+    smoothing = ClassifierConfig.smoothing
+    ts = classify._TrainingSet.of(ds, smoothing, label_set)
+    return classify._fit_naive_bayes(ts, np.asarray(weights, dtype=float), smoothing)
 
 
 def oracle_posterior(record_values):

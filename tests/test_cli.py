@@ -255,8 +255,20 @@ class TestStageFailures:
              "naive Bayes priors hold 1 values for 13 labels"),
             (lambda m: m["rounds"][0]["model"].update(labels=[*m["labels"][:-1], "foreign"]),
              "round 1 labels differ from the ensemble's"),
+            # a JSON number is a number: true was read as 1.0, "1.0" as 1.0
+            (lambda m: m["rounds"][0].update(vote_weight=True),
+             "rounds[0].vote_weight must be a number, got True"),
+            (lambda m: m["rounds"][0]["model"].update(smoothing=True),
+             "smoothing must be a number, got True"),
+            (lambda m: m["rounds"][0]["model"].update(smoothing="1.0"),
+             "smoothing must be a number, got '1.0'"),
+            (lambda m: m["rounds"][0]["model"].update(smoothing=math.nan),
+             "smoothing must be finite and positive, got nan"),
+            (lambda m: m["rounds"][0]["model"].update(smoothing=0),
+             "smoothing must be finite and positive, got 0.0"),
         ],
-        ids=["nan-vote", "negative-prior", "one-prior-for-every-label", "foreign-round-labels"],
+        ids=["nan-vote", "negative-prior", "one-prior-for-every-label", "foreign-round-labels",
+             "bool-vote", "bool-smoothing", "text-smoothing", "nan-smoothing", "zero-smoothing"],
     )
     def test_model_value_out_of_range_is_a_data_error(
         self, raw_csv, tmp_path, capsys, corrupt, named
@@ -365,12 +377,26 @@ class TestStageFailures:
                 "features": [{"values": ["tcp"], "cond": [[1.0], [1.0]]}]}}),
              ["eval", "{raw}", "--model", "{side}", "--out", "{tmp}/r.json"],
              "eval", "{side}: features[0] must be an integer, got 2.7"),
+            # each of these once trained on feature 2 and exited 0
+            ("{tmp}/s.json", '{"method": "hybrid", "alpha": 0.5, "indices": [2], "merit": NaN}',
+             ["train", "{raw}", "--selection", "{side}", "--out", "{tmp}/m.json"],
+             "train", "{side}: merit must be finite, got nan"),
+            ("{tmp}/s.json", '{"method": "hybrid", "alpha": 0.5, "indices": [2], "merit": true}',
+             ["train", "{raw}", "--selection", "{side}", "--out", "{tmp}/m.json"],
+             "train", "{side}: merit must be a number, got True"),
+            ("{tmp}/s.json", '{"method": "hybrid", "alpha": true, "indices": [2], "merit": 0.5}',
+             ["train", "{raw}", "--selection", "{side}", "--out", "{tmp}/m.json"],
+             "train", "{side}: alpha must be a number, got True"),
+            ("{tmp}/s.json", '{"method": "ig", "alpha": 0, "indices": [2], "ranking": [[2, "1"]]}',
+             ["train", "{raw}", "--selection", "{side}", "--out", "{tmp}/m.json"],
+             "train", "{side}: ranking[0][1] must be a number, got '1'"),
         ],
         ids=["sidecar-empty", "sidecar-schema-not-a-list", "sidecar-a-list",
              "selection-without-indices", "selection-outside-schema",
              "model-features-outside-schema", "ingest-counts-a-list", "run-counts-a-list",
              "counts-not-integers", "selection-indices-not-integers",
-             "model-feature-not-an-integer"],
+             "model-feature-not-an-integer", "selection-nan-merit", "selection-bool-merit",
+             "selection-bool-alpha", "selection-text-score"],
     )
     def test_malformed_side_file_is_a_data_error_naming_it(
         self, small_synth, raw_csv, tmp_path, capsys, side, text, args, stage, named
@@ -552,6 +578,19 @@ class TestStageFailures:
         else:
             assert errors == [f"Error: Invalid value for '{option}': {self.RANGE_RULES[option]}"]
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("seed", ["7", "0"])
+    def test_sample_seed_without_sample_is_usage_error(self, small_synth, tmp_path, capsys, seed):
+        # it once wrote every record and no manifest, and exited 0; the
+        # default seed typed out is still a seed without a sample
+        capsys.readouterr()
+        code = run_cli("ingest", small_synth, "--sample-seed", seed, "--out", tmp_path / "i.csv")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert [line for line in err.splitlines() if line.startswith("Error:")] == [
+            "Error: --sample-seed needs --sample"
+        ]
+        assert not (tmp_path / "i.csv").exists()
 
     @pytest.mark.parametrize("command", ["run", "reproduce-tables", "select"])
     def test_nan_alpha_is_usage_error(self, small_synth, tmp_path, capsys, command):

@@ -447,3 +447,16 @@ class TestFitApply:
         again = DiscretizationModel.from_payload(json.loads(model.to_json()))
         assert again == model
         assert again.to_json() == model.to_json()
+
+    @pytest.mark.parametrize("cut", [True, "2.0"])
+    def test_cut_that_is_not_a_json_number_names_its_feature(self, cut):
+        ds = toy_dataset(
+            [[0.25, 1.5, 2.75, 4.0], ["p", "q", "p", "q"]],
+            ["a", "a", "b", "b"],
+            kinds=[CONTINUOUS, DISCRETE],
+        )
+        payload = json.loads(fit_discretizer(ds).to_json())
+        assert payload["cuts"]["1"]
+        payload["cuts"]["1"][0] = cut
+        with pytest.raises(ValueError, match=rf"^cuts\.1 must be a number, got {cut!r}$"):
+            DiscretizationModel.from_payload(payload)

@@ -133,26 +133,52 @@ def table_su_of_columns(a, b):
 
 
 class FixedCache:
-    """Stand-in correlation cache with prescribed r values."""
+    """Stand-in correlation cache with prescribed r values; unset pairs are NaN."""
 
     def __init__(self, cf, ff):
-        self.cf = cf
-        self.ff = ff
+        n = 1 + max([*cf, *(j for pair in ff for j in pair)], default=0)
+        self.class_su, self.table = np.zeros(n), np.full((n, n), np.nan)
+        for i, v in cf.items():
+            self.class_su[i] = v
+        for (i, j), v in ff.items():
+            self.table[i, j] = self.table[j, i] = v
 
-    def feature_class(self, i):
-        return self.cf[i]
+    def su_arrays(self, members, among):
+        return self.class_su, self.table
 
-    def feature_feature(self, i, j):
-        return self.ff[min(i, j), max(i, j)]
 
-    def su_arrays(self, members):
-        n = 1 + max([*self.cf, *(j for pair in self.ff for j in pair)], default=0)
-        class_su, table = np.zeros(n), np.full((n, n), np.nan)
-        for i, v in self.cf.items():
-            class_su[i] = v
-        for (i, j), v in self.ff.items():
-            table[i, j] = table[j, i] = v
-        return class_su, table
+# --- merit oracle: the scalar pair loop over a fully filled SU table -------
+
+def left_to_right(values):
+    total = 0.0
+    for v in values:
+        total += float(v)
+    return total
+
+
+def oracle_merit(subset, class_su, table):
+    """CFS merit k*rcf / sqrt(k + k(k-1)*rff), one correlation at a time.
+
+    Correlations are added left to right over the sorted members and their
+    pairs in ``combinations`` order, the order the package's vectorized
+    merit must reproduce bit for bit.
+    """
+    indices = sorted(subset)
+    k = len(indices)
+    if k == 0:
+        return 0.0
+    rcf = left_to_right(class_su[i] for i in indices) / k
+    if k == 1:
+        return rcf
+    pairs = list(combinations(indices, 2))
+    rff = left_to_right(table[i, j] for i, j in pairs) / len(pairs)
+    return k * rcf / math.sqrt(k + k * (k - 1) * rff)
+
+
+def full_su(cache):
+    """The cache's feature-class vector and its feature-feature table, every pair filled."""
+    everything = range(1, cache.n_features + 1)
+    return cache.su_arrays(everything, everything)
 
 
 columns_pairs = st.integers(2, 30).flatmap(
@@ -286,44 +312,48 @@ class TestCorrelationCache:
     @given(wide_discrete_datasets())
     @settings(max_examples=100, deadline=None)
     def test_entries_bit_identical_to_symmetrical_uncertainty(self, ds):
+        # every entry filled on its own
         cache = CorrelationCache(ds)
         n = len(ds.schema)
         for i in range(1, n + 1):
+            class_su, table = cache.su_arrays([i], [])
             expected = table_su_of_columns(ds.column(i), ds.labels)
-            assert cache.feature_class(i).hex() == expected.hex()
+            assert float(class_su[i]).hex() == expected.hex()
             for j in range(1, n + 1):
                 if j != i:
+                    class_su, table = cache.su_arrays([i], [j])
                     expected = table_su_of_columns(ds.column(i), ds.column(j))
-                    assert cache.feature_feature(i, j).hex() == expected.hex()
+                    assert float(table[i, j]).hex() == expected.hex()
 
     @given(ds=redundant_discrete_datasets(), data=st.data())
     @settings(max_examples=100, deadline=None)
     def test_row_fills_in_any_order_bit_identical(self, ds, data):
-        # rows filled by su_arrays, in batches of 1 to all features per
-        # bincount (the budget holds for every fill), between single entries
-        # filled before and after
+        # whole rows filled by su_arrays, in batches of 1 to all features
+        # per bincount (the budget holds for every fill), between single
+        # entries filled before and after
         n = len(ds.schema)
+        everything = range(1, n + 1)
         budget = data.draw(st.sampled_from([1, len(ds), 3 * len(ds), 1 << 14]))
         with mock.patch.object(select, "_KEY_BUDGET", budget):
             cache = CorrelationCache(ds)
             pairs = st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=4)
             for i, j in data.draw(pairs):
-                cache.feature_feature(i, j)
-            order = data.draw(st.permutations(range(1, n + 1)))
+                cache.su_arrays([i], [j])
+            order = data.draw(st.permutations(everything))
             cuts = sorted(data.draw(st.sets(st.integers(1, n), max_size=3)) | {n})
             for members in (order[a:b] for a, b in zip([0, *cuts], cuts)):
-                class_su, table = cache.su_arrays(members)
+                class_su, table = cache.su_arrays(members, everything)
                 assert not np.isnan(table[members]).any()
             for i, j in data.draw(pairs):
-                cache.feature_feature(i, j)
-            for i in range(1, n + 1):
+                cache.su_arrays([i], [j])
+            for i in everything:
                 expected = table_su_of_columns(ds.column(i), ds.labels)
                 assert float(class_su[i]).hex() == expected.hex()
-                for j in range(1, n + 1):
+                for j in everything:
                     if j != i:
                         expected = table_su_of_columns(ds.column(i), ds.column(j))
                         assert float(table[i, j]).hex() == expected.hex()
-                        assert cache.feature_feature(i, j).hex() == expected.hex()
+                        assert float(cache.su_arrays([i], [j])[1][i, j]).hex() == expected.hex()
 
 
 class TestCfsMerit:
@@ -364,6 +394,8 @@ class TestCfsMerit:
         rff = (sum(ff.values()) / len(ff)) if ff else 0.0
         direct = k * rcf / math.sqrt(k + k * (k - 1) * rff)
         assert cfs_merit(indices, cache) == pytest.approx(direct, abs=1e-12)
+        oracle = oracle_merit(indices, *cache.su_arrays((), ()))
+        assert cfs_merit(indices, cache).hex() == oracle.hex()
         shuffled = list(indices)
         rng.shuffle(shuffled)
         assert cfs_merit(shuffled, cache) == cfs_merit(indices, cache)
@@ -388,16 +420,17 @@ def random_discrete_dataset(seed):
     return toy_dataset(cols, labels)
 
 
-# --- reference search loops: one cfs_merit call per candidate ---------------
+# --- reference search loops: one oracle merit per candidate ----------------
 
 def reference_greedy_path(cache):
+    arrays = full_su(cache)
     current, current_merit = [], 0.0
     remaining = list(range(1, cache.n_features + 1))
     path = []
     while remaining:
         best_i, best_merit = None, -math.inf
         for i in remaining:
-            m = cfs_merit(current + [i], cache)
+            m = oracle_merit(current + [i], *arrays)
             if m > best_merit:
                 best_i, best_merit = i, m
         if best_merit <= current_merit:
@@ -410,6 +443,7 @@ def reference_greedy_path(cache):
 
 
 def reference_best_first(cache, stale_limit=BEST_FIRST_STALE_LIMIT):
+    arrays = full_su(cache)
     heap, visited = [(0.0, ())], {()}
     best_subset, best_merit, stale = (), 0.0, 0
     while heap:
@@ -428,7 +462,7 @@ def reference_best_first(cache, stale_limit=BEST_FIRST_STALE_LIMIT):
             if child in visited:
                 continue
             visited.add(child)
-            heapq.heappush(heap, (-cfs_merit(child, cache), child))
+            heapq.heappush(heap, (-oracle_merit(child, *arrays), child))
     return best_subset, best_merit
 
 
@@ -454,6 +488,72 @@ def hexes(merits):
     return [float(m).hex() for m in merits]
 
 
+def oracle_su_arrays(ds):
+    """Feature-class vector and feature-feature table from the table oracle alone."""
+    n = len(ds.schema)
+    class_su, table = np.zeros(n + 1), np.full((n + 1, n + 1), np.nan)
+    for i in range(1, n + 1):
+        class_su[i] = table_su_of_columns(ds.column(i), ds.labels)
+        for j in range(1, n + 1):
+            if j != i:
+                table[i, j] = table_su_of_columns(ds.column(i), ds.column(j))
+    return class_su, table
+
+
+class TableCopies:
+    """A correlation cache that keeps a copy of each table its su_arrays returns."""
+
+    def __init__(self, cache):
+        self.cache = cache
+        self.tables = []
+
+    def su_arrays(self, members, among):
+        class_su, table = self.cache.su_arrays(members, among)
+        self.tables.append(table.copy())
+        return class_su, table
+
+
+class TestOneMeritPath:
+    @given(ds=tied_discrete_datasets(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_fills_and_merits_over_random_call_sequences(self, ds, data):
+        # one cache takes su_arrays fills, merit steps and cfs_merit calls in
+        # any order; every entry it holds is the oracle SU, every pair a
+        # merit reads is filled, and every merit is the oracle merit
+        n = len(ds.schema)
+        oracle = oracle_su_arrays(ds)
+        cache = CorrelationCache(ds)
+        features = st.lists(st.integers(1, n), max_size=n)
+        for _ in range(data.draw(st.integers(1, 6))):
+            call = data.draw(st.sampled_from(["su_arrays", "_extension_merits", "cfs_merit"]))
+            if call == "su_arrays":
+                members, among = data.draw(features), data.draw(features)
+                class_su, table = cache.su_arrays(members, among)
+                assert not np.isnan(table[np.ix_(members, among)]).any()
+            elif call == "_extension_merits":
+                order = data.draw(st.permutations(range(1, n + 1)))
+                k = data.draw(st.integers(0, n - 1))
+                base = order[:k]
+                candidates = order[k:][: data.draw(st.integers(1, n - k))]
+                copies = TableCopies(cache)
+                merits = _extension_merits(copies, base, candidates)
+                (table,) = copies.tables
+                for c in candidates:
+                    pairs = list(combinations(sorted([*base, c]), 2))
+                    assert not any(np.isnan(table[i, j]) for i, j in pairs)
+                expected = [oracle_merit([*base, c], *oracle) for c in candidates]
+                assert hexes(merits) == hexes(expected)
+            else:
+                subset = data.draw(st.sets(st.integers(1, n)))
+                assert cfs_merit(subset, cache).hex() == oracle_merit(subset, *oracle).hex()
+            class_su, table = cache.su_arrays([], [])
+            assert hexes(class_su[1:]) == hexes(oracle[0][1:])
+            filled = ~np.isnan(table)
+            np.fill_diagonal(filled, False)
+            filled[0, :] = filled[:, 0] = False
+            assert hexes(table[filled]) == hexes(oracle[1][filled])
+
+
 class TestExtensionMerits:
     @given(ds=tied_discrete_datasets(), data=st.data())
     @settings(max_examples=200, deadline=None)
@@ -461,12 +561,15 @@ class TestExtensionMerits:
         n = len(ds.schema)
         base = data.draw(st.permutations(range(1, n + 1)))[: data.draw(st.integers(0, n - 1))]
         candidates = [i for i in range(1, n + 1) if i not in base]
-        # the reference reads single entries from a fresh cache, the merit
-        # step fills whole rows of another one
-        expected = [cfs_merit(base + [i], CorrelationCache(ds)) for i in candidates]
+        # the oracle reads a fully filled cache; the merit step and
+        # cfs_merit fill only the pairs they read, each in a fresh cache
+        arrays = full_su(CorrelationCache(ds))
+        expected = [oracle_merit(base + [i], *arrays) for i in candidates]
         got = _extension_merits(CorrelationCache(ds), base, candidates)
         assert all(type(m) is float for m in got)
         assert hexes(got) == hexes(expected)
+        merits = [cfs_merit(base + [i], CorrelationCache(ds)) for i in candidates]
+        assert hexes(merits) == hexes(expected)
 
     @given(k=st.integers(1, 12), seed=st.integers(0, 10_000), data=st.data())
     @settings(max_examples=200, deadline=None)
@@ -479,8 +582,9 @@ class TestExtensionMerits:
         )
         base = data.draw(st.permutations(indices))[: data.draw(st.integers(0, k - 1))]
         candidates = [i for i in indices if i not in base]
-        expected = [cfs_merit(base + [i], cache) for i in candidates]
+        expected = [oracle_merit(base + [i], *cache.su_arrays((), ())) for i in candidates]
         assert hexes(_extension_merits(cache, base, candidates)) == hexes(expected)
+        assert hexes(cfs_merit(base + [i], cache) for i in candidates) == hexes(expected)
 
     def test_no_candidates(self):
         assert _extension_merits(CorrelationCache(planted_dataset(0)), [1], []) == []

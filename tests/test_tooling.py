@@ -8,6 +8,7 @@ import ast
 import dataclasses
 import importlib
 import importlib.util
+import inspect
 import itertools
 import json
 import os
@@ -206,16 +207,16 @@ def test_fits_and_correlations_run_batched_kernels(monkeypatch):
         lambda self, i, js: fills.append((i, js.tolist())) or fill(self, i, js),
     )
     cache = select.CorrelationCache(binned)
-    cache.su_arrays([2, 1, 3, 4])
+    cache.su_arrays([2, 1, 3, 4], range(1, 5))
     assert [i for i, _ in fills] == [2, 1, 3]  # row 4 is full by then
     fills.clear()
     cache = select.CorrelationCache(binned)
-    cache.feature_feature(3, 1)
+    cache.su_arrays([3], [1])
     select.greedy_forward_search(binned, cache)
     select.best_first_search(binned, cache)
     for i in range(1, 5):
         for j in range(1, 5):
-            cache.feature_feature(i, j)
+            cache.su_arrays([i], [j])
     pairs = [frozenset((i, j)) for i, js in fills for j in js]
     assert sorted(map(sorted, set(pairs))) == [[i, j] for i in range(1, 5) for j in range(i + 1, 5)]
     assert len(pairs) == len(set(pairs))  # each pair computed once
@@ -252,7 +253,7 @@ def test_measures_run_the_shipped_kernels(monkeypatch):
     cache = select.CorrelationCache(binned)
     assert calls == ["_entropies", "_su_scores"]
     calls.clear()
-    cache.su_arrays(range(1, 5))
+    cache.su_arrays(range(1, 5), range(1, 5))
     assert set(calls) == {"_su_scores"}
 
     # a hybrid fit builds one cache, fills the greedy search's rows through
@@ -269,6 +270,39 @@ def test_measures_run_the_shipped_kernels(monkeypatch):
     assert head == ["CorrelationCache", "_entropies", "_su_scores"]
     assert rows and set(rows) == {"_su_scores"}
     assert tail == ["rank_threshold", *kernels["ig"]]
+
+
+def test_the_test_cache_takes_the_cache_arguments():
+    # a test double whose su_arrays took other arguments than the cache's
+    # once let a merit read pairs no call had filled
+    from test_select import FixedCache
+
+    def parameters(fn):
+        return [(p.name, p.kind, p.default) for p in inspect.signature(fn).parameters.values()]
+
+    assert parameters(FixedCache.su_arrays) == parameters(select.CorrelationCache.su_arrays)
+
+
+def test_payload_decoders_take_numbers_through_json_number():
+    # float() reads true as 1.0 and "2.5" as 2.5; data.json_number rejects
+    # both, naming the key
+    decoders, calls = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and node.name in (
+                "from_payload", "load_model_payload"
+            ):
+                decoders.append(f"{path.name}:{node.name}")
+                calls += [
+                    f"{path.name}:{call.lineno}"
+                    for call in ast.walk(node)
+                    if isinstance(call, ast.Call)
+                    and isinstance(call.func, ast.Name)
+                    and call.func.id == "float"
+                ]
+    assert {"classify.py:from_payload", "discretize.py:from_payload",
+            "pipeline.py:load_model_payload", "selection.py:from_payload"} <= set(decoders)
+    assert calls == []
 
 
 def test_private_names_are_used_in_the_package():
